@@ -44,17 +44,7 @@ from .poly import (
     RationalFunction,
     ZERO,
 )
-from .qpoch import (
-    BaseKind,
-    PochBase,
-    Q_BASE,
-    neg_bq_base,
-    poch,
-    poch_neg_bq,
-    poch_q,
-    poch_ratio_negb,
-    poch_ratio_q,
-)
+from .qpoch import poch_neg_bq, poch_q, q_binomial
 from .verify import (
     InvalidRange,
     VerificationCase,
@@ -73,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "B",
-    "BaseKind",
     "CFSpec",
     "ConvergenceReport",
     "ConvergentPair",
@@ -86,10 +75,8 @@ __all__ = [
     "NumericBreakdown",
     "NumericPoint",
     "ONE",
-    "PochBase",
     "Polynomial",
     "Q",
-    "Q_BASE",
     "RationalFunction",
     "VerificationCase",
     "VerificationReport",
@@ -110,13 +97,10 @@ __all__ = [
     "g",
     "g_difference",
     "mu",
-    "neg_bq_base",
     "nu",
-    "poch",
     "poch_neg_bq",
     "poch_q",
-    "poch_ratio_negb",
-    "poch_ratio_q",
+    "q_binomial",
     "run_all",
     "series_ratio_entry15",
 ]

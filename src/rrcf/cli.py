@@ -25,8 +25,6 @@ from .poly import RationalFunction
 
 USAGE_ERROR = 2
 
-SUITES = ("entry16", "theorem1", "recursion", "telescoping", "asi", "division", "all")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(p_series)
 
     p_verify = sub.add_parser("verify", help="run an exact identity suite")
-    p_verify.add_argument("--suite", choices=SUITES, required=True)
+    p_verify.add_argument("--suite", choices=(*verify.SUITES, "all"), required=True)
     p_verify.add_argument("--n-max", type=int, default=10, dest="n_max")
     p_verify.add_argument("--seed", type=int, default=0)
     _output_flags(p_verify)
@@ -114,24 +112,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        if args.suite == "all":
-            reports = verify.run_all(args.n_max, seed=args.seed)
-        elif args.suite == "entry16":
-            reports = [verify.check_entry16(args.n_max)]
-        elif args.suite == "theorem1":
-            reports = [verify.check_theorem1(args.n_max)]
-        elif args.suite == "recursion":
-            reports = [verify.check_recursion(args.n_max)]
-        elif args.suite == "telescoping":
-            reports = [verify.check_telescoping(args.n_max)]
-        elif args.suite == "asi":
-            reports = [verify.check_asi(args.n_max)]
-        else:
-            reports = [verify.check_division_step(seed=args.seed)]
-    except verify.InvalidRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # division reads no n_max, but every suite rejects one below 1 alike
+    if args.n_max < 1:
+        print(f"error: --n-max must be >= 1, got {args.n_max}", file=sys.stderr)
         return USAGE_ERROR
+    names = verify.SUITES if args.suite == "all" else (args.suite,)
+    reports = [verify.SUITES[name](args.n_max, args.seed) for name in names]
     if args.format == "json":
         payload = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
         text = json.dumps(payload, indent=2)

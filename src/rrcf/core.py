@@ -27,6 +27,11 @@ oracle, cross-checked through the determinant identity), and builds the
 Al-Salam-Ismail orthogonal polynomial U_n(x; a, b) whose specialization
 U_n(1; bq, -l*q^2) equals g_n(1) * (-bq;q)_n.
 
+Every term of these sums is a q-binomial over a product of factors
+(1 + b*q^j) whose range is known from the summation index, so each sum is
+built as one polynomial numerator over its common denominator and
+normalised once, with no rational-function arithmetic per term.
+
 All functions are pure; g is memoized behind a thread-safe cache.
 """
 
@@ -35,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import B, L, ONE, Polynomial, Q, RationalFunction
-from .qpoch import poch_neg_bq, poch_q, poch_ratio_negb, poch_ratio_q
+from .poly import B, L, ONE, ZERO, Polynomial, Q, RationalFunction
+from .qpoch import poch_neg_bq, q_binomial
 
 __all__ = [
     "CFSpec",
@@ -60,56 +65,48 @@ def _require_positive(n: int, what: str = "n") -> None:
 def mu(n: int) -> Polynomial:
     """Numerator sum of Entry 16: the n-th convergent numerator at b = 0.
 
-    sum_{k=0}^{floor((n+1)/2)} q^(k^2) l^k (q;q)_{n-k+1} / ((q;q)_k (q;q)_{n-2k+1}).
-    Every division is exact, so the result is a polynomial in q and l.
+    sum_{k=0}^{floor((n+1)/2)} q^(k^2) l^k [n-k+1, k]_q, a polynomial in q and l.
     """
     _require_positive(n)
-    total = Polynomial.zero()
-    for k in range((n + 1) // 2 + 1):
-        ratio = poch_ratio_q(n - k + 1, n - 2 * k + 1).num
-        term = Polynomial.monomial(k * k, k) * ratio.exact_div(poch_q(k))
-        total = total + term
-    return total
+    return sum(
+        (Polynomial.monomial(k * k, k) * q_binomial(n - k + 1, k) for k in range((n + 1) // 2 + 1)),
+        ZERO,
+    )
 
 
 def nu(n: int) -> Polynomial:
-    """Denominator sum of Entry 16.
-
-    sum_{k=0}^{floor(n/2)} q^(k^2+k) l^k (q;q)_{n-k} / ((q;q)_k (q;q)_{n-2k}).
-    """
+    """Denominator sum of Entry 16: sum_{k=0}^{floor(n/2)} q^(k^2+k) l^k [n-k, k]_q."""
     _require_positive(n)
-    total = Polynomial.zero()
-    for k in range(n // 2 + 1):
-        ratio = poch_ratio_q(n - k, n - 2 * k).num
-        term = Polynomial.monomial(k * k + k, k) * ratio.exact_div(poch_q(k))
-        total = total + term
-    return total
+    return sum(
+        (Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k) for k in range(n // 2 + 1)),
+        ZERO,
+    )
 
 
 @lru_cache(maxsize=None)
 def _g_cached(n: int, s: int) -> RationalFunction:
-    k_stop = (n - s + 1) // 2
-    # one past the bound, the q-factorial ratio hits a negative index and
-    # the term vanishes under the reciprocal convention
-    assert n - 2 * (k_stop + 1) - s + 1 < 0
-    total = RationalFunction.zero()
-    for k in range(k_stop + 1):
-        gauss = poch_ratio_q(n - k - s + 1, n - 2 * k - s + 1).num.exact_div(poch_q(k))
-        head = RationalFunction(Polynomial.monomial(k * k + s * k, k) * gauss)
-        term = head * poch_ratio_negb(s, 0, k) * poch_ratio_negb(1, n - k, n)
-        total = total + term
-    return total
+    # Term k has denominator (-bq^s;q)_k (-bq^(n-k+1);q)_k.  The two j-ranges
+    # [s, s+k-1] and [n-k+1, n] are disjoint since 2k <= n-s+1, and both grow
+    # with k, so the last term's denominator is the common one.
+    top = (n - s + 1) // 2
+    num = ZERO
+    for k in range(top + 1):
+        cofactor = poch_neg_bq(s + k, top - k) * poch_neg_bq(n - top + 1, top - k)
+        num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s + 1, k) * cofactor
+    return RationalFunction(num, poch_neg_bq(s, top) * poch_neg_bq(n - top + 1, top))
 
 
 def g(n: int, s: int) -> RationalFunction:
     """The generalized convergent sum g_n(s).
 
-    sum_{k=0}^{floor((n-s+1)/2)} q^(k^2+sk) l^k / ((q;q)_k (-bq^s;q)_k)
-      * (q;q)_{n-k-s+1} / (q;q)_{n-2k-s+1} * (-bq;q)_{n-k} / (-bq;q)_n.
+    sum_{k=0}^{floor((n-s+1)/2)} q^(k^2+sk) l^k [n-k-s+1, k]_q
+      / ((-bq^s;q)_k (-bq^(n-k+1);q)_k),
 
-    Valid for 1 <= n and 0 <= s <= n+1 (the range the recursion and its
-    endpoints use); anything else raises.  The denominator of the result
-    divides a product of factors (1 + b*q^j).
+    where the second factorial is (-bq;q)_n / (-bq;q)_{n-k}.  Valid for
+    1 <= n and 0 <= s <= n+1 (the range the recursion and its endpoints
+    use); anything else raises.  The sum is built over its common
+    denominator, a product of distinct factors (1 + b*q^j), and normalised
+    once.
     """
     _require_positive(n)
     if not 0 <= s <= n + 1:
@@ -121,23 +118,24 @@ def g_difference(n: int, s: int) -> RationalFunction:
     """g_n(s) - g_n(s+1), summed term by term after the bracket collapses.
 
     Combining the k-th terms of the two sums over the common prefactor
-    q^(k^2+sk) l^k / ((q;q)_k (-bq^s;q)_{k+1}) * (q;q)_{n-k-s} / (q;q)_{n-2k-s+1}
-      * (-bq;q)_{n-k} / (-bq;q)_n
+    q^(k^2+sk) l^k (q;q)_{n-k-s} / ((q;q)_k (q;q)_{n-2k-s+1}
+      (-bq^s;q)_{k+1} (-bq^(n-k+1);q)_k)
     leaves the bracket (1+b*q^(s+k))(1-q^(n-k-s+1)) - (1+b*q^s)(1-q^(n-2k-s+1))q^k,
     which collapses to (1+b*q^(n-k+1))(1-q^k).  The k = 0 term dies with the
-    factor (1-q^k), and the remaining sum equals
-    l*q^(s+1) / ((1+b*q^s)(1+b*q^(s+1))) * g_n(s+2), the telescoping step.
+    factor (1-q^k), and the remaining sum
+      sum_{k>=1} q^(k^2+sk) l^k [n-k-s, k-1]_q / ((-bq^s;q)_{k+1} (-bq^(n-k+2);q)_{k-1})
+    equals l*q^(s+1) / ((1+b*q^s)(1+b*q^(s+1))) * g_n(s+2), the telescoping
+    step.  As in g, the last term's denominator is the common one.
     """
     _require_positive(n)
     if not 0 <= s <= n - 1:
         raise ValueError(f"s must satisfy 0 <= s <= n-1, got s={s} with n={n}")
-    total = RationalFunction.zero()
-    for k in range(1, (n - s + 1) // 2 + 1):
-        gauss = poch_ratio_q(n - k - s, n - 2 * k - s + 1).num.exact_div(poch_q(k - 1))
-        head = RationalFunction(Polynomial.monomial(k * k + s * k, k) * gauss)
-        term = head * poch_ratio_negb(s, 0, k + 1) * poch_ratio_negb(1, n - k + 1, n)
-        total = total + term
-    return total
+    top = (n - s + 1) // 2
+    num = ZERO
+    for k in range(1, top + 1):
+        cofactor = poch_neg_bq(s + k + 1, top - k) * poch_neg_bq(n - top + 2, top - k)
+        num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s, k - 1) * cofactor
+    return RationalFunction(num, poch_neg_bq(s, top + 1) * poch_neg_bq(n - top + 2, top - 1))
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,8 @@ class ConvergentPair:
 def _assert_unit_constant(t: RationalFunction) -> None:
     # every backward tail evaluates to 1 at q = l = b = 0, so no tail can be
     # the zero function and the symbolic recurrence cannot divide by zero
-    assert t.num.constant_coeff == t.den.constant_coeff != 0
+    if not t.num.constant_coeff == t.den.constant_coeff != 0:
+        raise ArithmeticError(f"backward tail {t} does not evaluate to 1 at q = l = b = 0")
 
 
 def cf_finite_backward(spec: CFSpec) -> RationalFunction:
@@ -242,7 +241,8 @@ def asi_u(n: int, x: int | Polynomial | RationalFunction = 1) -> RationalFunctio
     U_n(x;a,b') = sum_{k=0}^{floor(n/2)} (-a;q)_{n-k} (q;q)_{n-k}
         / ((-a;q)_k (q;q)_k (q;q)_{n-2k}) * x^(n-2k) (-b')^k q^(k(k-1)),
     which under the specialization has k-th term
-    l^k q^(k^2+k) [(q;q)_{n-k} / ((q;q)_k (q;q)_{n-2k})] (-bq;q)_{n-k}/(-bq;q)_k.
+    l^k q^(k^2+k) [n-k, k]_q (-bq;q)_{n-k}/(-bq;q)_k, that is the polynomial
+    l^k q^(k^2+k) [n-k, k]_q (-bq^(k+1);q)_{n-2k} times x^(n-2k).
 
     The default x = 1 is the case satisfying asi_u(n) == g(n,1) * (-bq;q)_n;
     other x values (exact scalars, polynomials or rational functions) are an
@@ -251,10 +251,9 @@ def asi_u(n: int, x: int | Polynomial | RationalFunction = 1) -> RationalFunctio
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     x_rf = x if isinstance(x, RationalFunction) else RationalFunction(x)
-    total = RationalFunction.zero()
+    # x^(n-2k) = x_num^(n-2k) x_den^(2k) / x_den^n puts every term over x_den^n
+    num = ZERO
     for k in range(n // 2 + 1):
-        gauss = poch_ratio_q(n - k, n - 2 * k).num.exact_div(poch_q(k))
-        head = RationalFunction(Polynomial.monomial(k * k + k, k) * gauss)
-        term = head * poch_ratio_negb(1, n - k, k) * x_rf ** (n - 2 * k)
-        total = total + term
-    return total
+        term = Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k) * poch_neg_bq(k + 1, n - 2 * k)
+        num = num + term * x_rf.num ** (n - 2 * k) * x_rf.den ** (2 * k)
+    return RationalFunction(num, x_rf.den**n)

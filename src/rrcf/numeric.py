@@ -75,7 +75,12 @@ def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, i
             lam_k *= lam
             poch_q *= 1.0 - q_k
             poch_b *= 1.0 + b * q_k
-        t = q_sq * lam_k / (poch_q * poch_b)
+        try:
+            t = q_sq * lam_k / (poch_q * poch_b)
+        except ZeroDivisionError:
+            raise NumericBreakdown(
+                f"(-bq;q)_{k} vanishes at (q={q}, lam={lam}, b={b}): b is a pole of the series"
+            ) from None
         num += t
         den += t * q_k
         used = k

@@ -314,13 +314,6 @@ class Polynomial:
                         rem[key] = _norm_coeff(s)
         return Polynomial._raw(out)
 
-    def divisible_by(self, divisor: "Polynomial") -> bool:
-        try:
-            self.exact_div(divisor)
-            return True
-        except NotDivisible:
-            return False
-
     # -- evaluation and substitution ----------------------------------------
 
     def eval_numeric(self, q: float, lam: float, b: float) -> float:

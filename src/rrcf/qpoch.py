@@ -1,131 +1,54 @@
-"""q-rising factorials (a;q)_k for the two base shapes this library needs.
+"""q-rising factorials for the two base shapes this library needs, and q-binomials.
 
 ``(a;q)_0 = 1`` and for k > 0, ``(a;q)_k = (1-a)(1-aq)...(1-aq^(k-1))``.
 Supported bases are ``a = q^m`` and ``a = -b*q^m`` with m >= 0, which cover
-``(q;q)_k``, ``(-b;q)_k``, ``(-bq;q)_k`` and ``(-bq^s;q)_k``.
+``(q;q)_k``, ``(-b;q)_k``, ``(-bq;q)_k`` and ``(-bq^s;q)_k``.  A shifted base
+is how a ratio of two factorials is written: ``(a;q)_(j+k) / (a;q)_j`` is
+``(aq^j;q)_k``, a plain product with no division.
 
-Ratios of two such factorials cancel to finite products.  For the ``(q;q)``
-family the standard extension to negative lower index applies: the reciprocal
-``1/(q;q)_m`` is zero for m = -1, -2, ..., so a ratio with a negative
-denominator index is the zero rational function.  The ``(-b*q^m;q)`` ratios
-never leave non-negative indices in this library's formulas, so there a
-negative index raises instead of silently vanishing.
+The Gaussian binomial ``[a, k]_q = (q;q)_a / ((q;q)_k (q;q)_(a-k))`` is a
+polynomial in q; it is computed as the exact quotient
+``(q^(a-k+1);q)_k / (q;q)_k``.
 
-Everything is a pure function of its arguments; the memo table behind
-:func:`poch` is a thread-safe ``lru_cache``.
+Everything is a pure function of its arguments; the memo table behind the
+products is a thread-safe ``lru_cache``.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
-from .poly import ONE, B, Polynomial, Q, RationalFunction
+from .poly import ONE, B, Polynomial, Q
 
-__all__ = [
-    "BaseKind",
-    "PochBase",
-    "Q_BASE",
-    "neg_bq_base",
-    "poch",
-    "poch_q",
-    "poch_neg_bq",
-    "poch_ratio_q",
-    "poch_ratio_negb",
-]
-
-
-class BaseKind(Enum):
-    Q_POWER = "q_power"
-    NEG_B_Q_POWER = "neg_b_q_power"
-
-
-class PochBase(NamedTuple):
-    """Base a = q^m (Q_POWER) or a = -b*q^m (NEG_B_Q_POWER), m >= 0."""
-
-    kind: BaseKind
-    m: int
-
-
-Q_BASE = PochBase(BaseKind.Q_POWER, 1)
-
-
-def neg_bq_base(m: int) -> PochBase:
-    return PochBase(BaseKind.NEG_B_Q_POWER, m)
+__all__ = ["poch_q", "poch_neg_bq", "q_binomial"]
 
 
 @lru_cache(maxsize=None)
-def _poch_cached(kind: BaseKind, m: int, k: int) -> Polynomial:
-    if k == 0:
-        return ONE
-    prev = _poch_cached(kind, m, k - 1)
-    j = m + k - 1
-    if kind is BaseKind.Q_POWER:
-        return prev * (ONE - Q**j)
-    return prev * (ONE + B * Q**j)
-
-
-def poch(base: PochBase, k: int) -> Polynomial:
-    """(a;q)_k as a polynomial, k >= 0.
-
-    Q_POWER m: prod_{j=0}^{k-1} (1 - q^(m+j)); NEG_B_Q_POWER m:
-    prod_{j=0}^{k-1} (1 + b*q^(m+j)).
-    """
-    if base.m < 0:
-        raise ValueError(f"base power must be non-negative, got {base.m}")
+def _product(neg_b: bool, m: int, k: int) -> Polynomial:
+    # prod_{j=m}^{m+k-1} (1 + b*q^j) if neg_b else (1 - q^j)
+    if m < 0:
+        raise ValueError(f"base power must be non-negative, got {m}")
     if k < 0:
         raise IndexError(f"poch index must be non-negative, got {k}")
-    return _poch_cached(base.kind, base.m, k)
+    if k == 0:
+        return ONE
+    j = m + k - 1
+    return _product(neg_b, m, k - 1) * (ONE + B * Q**j if neg_b else ONE - Q**j)
 
 
-def poch_q(k: int) -> Polynomial:
-    """(q;q)_k."""
-    return poch(Q_BASE, k)
+def poch_q(k: int, m: int = 1) -> Polynomial:
+    """(q^m;q)_k = prod_{j=0}^{k-1} (1 - q^(m+j)); the default m = 1 is (q;q)_k."""
+    return _product(False, m, k)
 
 
 def poch_neg_bq(m: int, k: int) -> Polynomial:
-    """(-b*q^m;q)_k."""
-    return poch(neg_bq_base(m), k)
+    """(-b*q^m;q)_k = prod_{j=0}^{k-1} (1 + b*q^(m+j))."""
+    return _product(True, m, k)
 
 
-def poch_ratio_q(k_num: int, k_den: int) -> RationalFunction:
-    """(q;q)_{k_num} / (q;q)_{k_den} with the negative-index convention.
-
-    k_den < 0 gives the zero rational function.  A negative k_num never
-    occurs inside this library's sum bounds, so it raises IndexError.
-    """
-    if k_num < 0:
-        raise IndexError(f"numerator index must be non-negative, got {k_num}")
-    if k_den < 0:
-        return RationalFunction.zero()
-    if k_den <= k_num:
-        prod = ONE
-        for j in range(k_den + 1, k_num + 1):
-            prod = prod * (ONE - Q**j)
-        return RationalFunction(prod)
-    prod = ONE
-    for j in range(k_num + 1, k_den + 1):
-        prod = prod * (ONE - Q**j)
-    return RationalFunction(ONE, prod)
-
-
-def poch_ratio_negb(m_base: int, k_num: int, k_den: int) -> RationalFunction:
-    """(-b*q^m_base;q)_{k_num} / (-b*q^m_base;q)_{k_den}, indices >= 0.
-
-    Negative indices signal a caller bug here and raise IndexError rather
-    than extending the vanishing convention to the b-ratios.
-    """
-    if m_base < 0:
-        raise ValueError(f"base power must be non-negative, got {m_base}")
-    if k_num < 0 or k_den < 0:
-        raise IndexError(f"poch ratio indices must be non-negative, got ({k_num}, {k_den})")
-    if k_den <= k_num:
-        prod = ONE
-        for j in range(k_den, k_num):
-            prod = prod * (ONE + B * Q ** (m_base + j))
-        return RationalFunction(prod)
-    prod = ONE
-    for j in range(k_num, k_den):
-        prod = prod * (ONE + B * Q ** (m_base + j))
-    return RationalFunction(ONE, prod)
+def q_binomial(a: int, k: int) -> Polynomial:
+    """The Gaussian binomial [a, k]_q for 0 <= k <= a, a polynomial in q."""
+    if not 0 <= k <= a:
+        raise IndexError(f"q-binomial needs 0 <= k <= a, got a={a}, k={k}")
+    k = min(k, a - k)
+    return poch_q(k, a - k + 1).exact_div(poch_q(k))

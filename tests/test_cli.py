@@ -1,9 +1,14 @@
 """CLI surface: rendering, exit codes, formats, byte stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rrcf
 from rrcf import cli, core
 from rrcf.core import convergent, mu
 from rrcf.numeric import ConvergenceReport
@@ -101,6 +106,33 @@ def test_verify_invalid_range_usage_error(capsys):
     assert code == 2
 
 
+def test_verify_division_rejects_n_max_zero(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "division", "--n-max", "0")
+    assert code == 2
+    assert out == "" and "--n-max must be >= 1" in err
+
+
+def test_verify_b0_is_selectable(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "b0", "--n-max", "3", "--format", "json")
+    assert code == 0
+    report = VerificationReport.from_json(json.loads(out))
+    assert report.suite == "b0" and report.all_passed and len(report.cases) == 3
+
+
+def test_verify_under_optimize_flag():
+    # -O strips assert statements; the run must not depend on them
+    env = dict(os.environ, PYTHONPATH=str(Path(rrcf.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "rrcf.cli", "verify", "--suite", "theorem1", "--n-max", "4"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "summary pass=4 fail=0" in proc.stdout
+
+
 def test_verify_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "asi", "--n-max", "3", "--format", "json")
     assert code == 0
@@ -153,6 +185,14 @@ def test_eval_rejects_q_outside_unit_interval(capsys):
     code, _, err = run_cli(capsys, "eval", "--q", "1.0", "--lambda", "1", "--b", "0.5")
     assert code == 2
     assert "|q|" in err
+
+
+def test_eval_at_pole_is_clean_error(capsys):
+    # b = -1/q is a pole of (-bq;q)_k: exit 1 with an error line, no traceback
+    code, out, err = run_cli(capsys, "eval", "--q", "0.5", "--lambda", "1", "--b", "-2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "pole" in err
 
 
 def test_eval_lambda_zero_constant_column(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from rrcf.core import (
     CFSpec,
+    _assert_unit_constant,
     asi_u,
     cf_convergents_forward,
     cf_finite_backward,
@@ -96,6 +97,64 @@ def test_g_b0_reduction():
         assert g(n, 1).substitute("b", 0) == RationalFunction(nu(n))
 
 
+def _factors(lo, hi, factor):
+    prod = ONE
+    for j in range(lo, hi + 1):
+        prod = prod * factor(j)
+    return prod
+
+
+def _q_factors(lo, hi):
+    return _factors(lo, hi, lambda j: ONE - Q**j)
+
+
+def _b_factors(lo, hi):
+    return _factors(lo, hi, lambda j: ONE + B * Q**j)
+
+
+def _oracle_g(n, s):
+    total = RationalFunction.zero()
+    for k in range((n - s + 1) // 2 + 1):
+        total = total + RationalFunction(
+            Polynomial.monomial(k * k + s * k, k) * _q_factors(n - 2 * k - s + 2, n - k - s + 1),
+            _q_factors(1, k) * _b_factors(s, s + k - 1) * _b_factors(n - k + 1, n),
+        )
+    return total
+
+
+def _oracle_g_difference(n, s):
+    total = RationalFunction.zero()
+    for k in range(1, (n - s + 1) // 2 + 1):
+        total = total + RationalFunction(
+            Polynomial.monomial(k * k + s * k, k) * _q_factors(n - 2 * k - s + 2, n - k - s),
+            _q_factors(1, k - 1) * _b_factors(s, s + k) * _b_factors(n - k + 2, n),
+        )
+    return total
+
+
+def _oracle_asi_u(n):
+    total = RationalFunction.zero()
+    for k in range(n // 2 + 1):
+        total = total + RationalFunction(
+            Polynomial.monomial(k * k + k, k) * _q_factors(n - 2 * k + 1, n - k) * _b_factors(1, n - k),
+            _q_factors(1, k) * _b_factors(1, k),
+        )
+    return total
+
+
+def test_sums_match_term_by_term_oracle():
+    # the sums are built over their common denominator; adding the terms one
+    # rational function at a time must reach the very same normal form,
+    # because `rrcf series` prints it
+    for n in range(0, 9):
+        cases = [(asi_u(n), _oracle_asi_u(n))]
+        if n > 0:
+            cases += [(g(n, s), _oracle_g(n, s)) for s in range(0, n + 2)]
+            cases += [(g_difference(n, s), _oracle_g_difference(n, s)) for s in range(0, n)]
+        for got, want in cases:
+            assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_g_denominator_is_structured():
     # the reduced denominator divides prod_{j=s}^{n} (1 + b q^j)
     for n in range(1, 7):
@@ -179,6 +238,13 @@ def test_backward_lambda_zero_collapses_to_leading():
 def test_backward_depth_one_b_zero():
     value = cf_finite_backward(CFSpec.standard(1)).substitute("b", 0)
     assert value == RationalFunction(ONE + L * Q)
+
+
+def test_unit_constant_check_raises():
+    _assert_unit_constant(RationalFunction(ONE + Q, ONE + B))
+    for bad in (RationalFunction(Q), RationalFunction(2 + Q, ONE + B)):
+        with pytest.raises(ArithmeticError):
+            _assert_unit_constant(bad)
 
 
 def test_forward_initial_pairs():

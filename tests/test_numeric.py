@@ -81,6 +81,16 @@ def test_cf_numeric_breakdown_on_vanishing_tail():
         cf_numeric(NumericPoint(q=0.5, lam=1.0, b=-2.0), 1)
 
 
+def test_series_ratio_breakdown_at_pole():
+    # b = -q^(-j) zeroes the factor 1 + b q^j of (-bq;q)_k for every k >= j
+    for q, b in ((0.5, -2.0), (0.5, -4.0), (-0.5, 2.0)):
+        pt = NumericPoint(q=q, lam=1.0, b=b)
+        with pytest.raises(NumericBreakdown, match="pole"):
+            series_ratio_entry15(pt, 50)
+        with pytest.raises(NumericBreakdown):
+            convergence_demo(pt, 10)
+
+
 def test_exact_matches_numeric_at_desk_point():
     for n in range(1, 13):
         exact = convergent(n).eval_numeric(DESK_POINT.q, DESK_POINT.lam, DESK_POINT.b)

@@ -1,24 +1,32 @@
-"""q-rising factorials, their ratios and the negative-index convention."""
+"""q-rising factorials on shifted bases, and the Gaussian binomial."""
+
+import math
 
 import pytest
 
 from rrcf.poly import B, ONE, Q, RationalFunction
-from rrcf.qpoch import (
-    BaseKind,
-    PochBase,
-    Q_BASE,
-    neg_bq_base,
-    poch,
-    poch_neg_bq,
-    poch_q,
-    poch_ratio_negb,
-    poch_ratio_q,
-)
+from rrcf.qpoch import poch_neg_bq, poch_q, q_binomial
+
+
+def _explicit(factor, m, k):
+    prod = ONE
+    for j in range(m, m + k):
+        prod = prod * factor(j)
+    return prod
+
+
+def _one_minus_q(j):
+    return ONE - Q**j
+
+
+def _one_plus_bq(j):
+    return ONE + B * Q**j
 
 
 def test_poch_empty_product_is_one():
-    assert poch(Q_BASE, 0) == ONE
-    assert poch(neg_bq_base(3), 0) == ONE
+    assert poch_q(0) == ONE
+    assert poch_q(0, 4) == ONE
+    assert poch_neg_bq(3, 0) == ONE
 
 
 def test_poch_q_two_terms():
@@ -31,79 +39,124 @@ def test_poch_neg_bq_two_terms():
     assert poch_neg_bq(1, 2) == ONE + B * Q + B * Q**2 + B**2 * Q**3
 
 
+def test_products_match_explicit_factors():
+    for m in range(0, 5):
+        for k in range(0, 7):
+            assert poch_neg_bq(m, k) == _explicit(_one_plus_bq, m, k)
+            if m > 0:
+                assert poch_q(k, m) == _explicit(_one_minus_q, m, k)
+
+
 def test_base_one_vanishes_for_positive_index():
-    # a = q^0 = 1 makes every factor after the first (1 - 1) = 0
-    unit_base = PochBase(BaseKind.Q_POWER, 0)
-    assert poch(unit_base, 0) == ONE
+    # a = q^0 = 1 makes the first factor (1 - 1) = 0
+    assert poch_q(0, 0) == ONE
     for k in range(1, 5):
-        assert poch(unit_base, k).is_zero
+        assert poch_q(k, 0).is_zero
 
 
 def test_poch_rejects_negative_index():
     with pytest.raises(IndexError):
-        poch(Q_BASE, -1)
+        poch_q(-1)
+    with pytest.raises(IndexError):
+        poch_q(-1, 3)
+    with pytest.raises(IndexError):
+        poch_neg_bq(1, -1)
 
 
-@pytest.mark.parametrize("kind_m", [(BaseKind.Q_POWER, 1), (BaseKind.NEG_B_Q_POWER, 0), (BaseKind.NEG_B_Q_POWER, 1)])
+def test_poch_rejects_negative_base():
+    with pytest.raises(ValueError):
+        poch_q(2, -1)
+    with pytest.raises(ValueError):
+        poch_neg_bq(-1, 2)
+
+
+@pytest.mark.parametrize("kind_m", [("q", 1), ("neg_b", 0), ("neg_b", 1)])
 def test_pascal_recurrence(kind_m):
     kind, m = kind_m
-    base = PochBase(kind, m)
-    a = -(B * Q**m) if kind is BaseKind.NEG_B_Q_POWER else Q**m
+    poch = (lambda k: poch_neg_bq(m, k)) if kind == "neg_b" else (lambda k: poch_q(k, m))
+    a = -(B * Q**m) if kind == "neg_b" else Q**m
     for k in range(0, 13):
-        assert poch(base, k + 1) == poch(base, k) * (ONE - a * Q**k)
+        assert poch(k + 1) == poch(k) * (ONE - a * Q**k)
+
+
+# -- ratios of factorials are products on a shifted base ------------------------
 
 
 def test_ratio_q_cancels_prefix():
-    assert poch_ratio_q(3, 1) == RationalFunction((ONE - Q**2) * (ONE - Q**3))
+    # (q;q)_3 / (q;q)_1 = (q^2;q)_2
+    assert RationalFunction(poch_q(3), poch_q(1)) == RationalFunction(poch_q(2, 2))
+    assert poch_q(2, 2) == (ONE - Q**2) * (ONE - Q**3)
 
 
 def test_ratio_q_equal_indices():
     for k in range(0, 6):
-        assert poch_ratio_q(k, k) == RationalFunction(ONE)
-
-
-def test_ratio_q_negative_denominator_index_is_zero():
-    # 1/(q;q)_m = 0 for m = -1, -2, ...
-    for k in range(0, 9):
-        for m in range(-4, 0):
-            assert poch_ratio_q(k, m).is_zero
-
-
-def test_ratio_q_negative_numerator_index_raises():
-    with pytest.raises(IndexError):
-        poch_ratio_q(-1, 2)
+        assert RationalFunction(poch_q(k), poch_q(k)) == RationalFunction(poch_q(0, k + 1))
 
 
 def test_ratio_q_reciprocal_case():
-    r = poch_ratio_q(1, 3)
-    assert r == RationalFunction(ONE, (ONE - Q**2) * (ONE - Q**3))
+    # (q;q)_1 / (q;q)_3 = 1 / (q^2;q)_2, reduced to that form on construction
+    r = RationalFunction(poch_q(1), poch_q(3))
+    assert (r.num, r.den) == (ONE, poch_q(2, 2))
 
 
 def test_ratio_q_times_denominator_restores_numerator():
     for k1 in range(0, 13):
         for k2 in range(0, k1 + 1):
-            assert poch_ratio_q(k1, k2) * poch_q(k2) == RationalFunction(poch_q(k1))
+            assert poch_q(k1 - k2, k2 + 1) * poch_q(k2) == poch_q(k1)
 
 
 def test_ratio_negb_examples():
-    assert poch_ratio_negb(1, 0, 1) == RationalFunction(ONE, ONE + B * Q)
-    assert poch_ratio_negb(0, 1, 0) == RationalFunction(ONE + B)
-    for k in range(0, 6):
-        assert poch_ratio_negb(1, k, k) == RationalFunction(ONE)
+    # (-bq^m;q)_(j+k) = (-bq^m;q)_j (-bq^(m+j);q)_k
+    assert poch_neg_bq(0, 1) == ONE + B
+    for m in range(0, 4):
+        for j in range(0, 5):
+            for k in range(0, 5):
+                assert poch_neg_bq(m, j + k) == poch_neg_bq(m, j) * poch_neg_bq(m + j, k)
 
 
 def test_ratio_negb_rejects_negative_indices():
     with pytest.raises(IndexError):
-        poch_ratio_negb(1, -1, 0)
+        poch_neg_bq(1, -1)
     with pytest.raises(IndexError):
-        poch_ratio_negb(1, 0, -1)
+        poch_neg_bq(0, -2)
+
+
+# -- q-binomials ------------------------------------------------------------------
 
 
 def test_gaussian_binomial_integrality():
-    # (q;q)_n / ((q;q)_k (q;q)_{n-k}) is a polynomial: exact division succeeds
-    for n in range(0, 11):
-        for k in range(0, n + 1):
-            ratio = poch_ratio_q(n, n - k)
-            gauss = ratio.num.exact_div(poch_q(k))
-            assert gauss * poch_q(k) == ratio.num
-            assert ratio.den == ONE
+    # [a, k] (q;q)_k (q;q)_(a-k) = (q;q)_a
+    for a in range(0, 11):
+        for k in range(0, a + 1):
+            assert q_binomial(a, k) * poch_q(k) * poch_q(a - k) == poch_q(a)
+
+
+def test_q_binomial_small():
+    assert q_binomial(0, 0) == ONE
+    assert q_binomial(2, 1) == ONE + Q
+    assert q_binomial(4, 2) == ONE + Q + 2 * Q**2 + Q**3 + Q**4
+
+
+def test_q_binomial_symmetry():
+    for a in range(0, 12):
+        for k in range(0, a + 1):
+            assert q_binomial(a, k) == q_binomial(a, a - k)
+
+
+def test_q_pascal_rule():
+    # [a, k] = [a-1, k-1] + q^k [a-1, k]
+    for a in range(1, 12):
+        for k in range(1, a):
+            assert q_binomial(a, k) == q_binomial(a - 1, k - 1) + Q**k * q_binomial(a - 1, k)
+
+
+def test_q_binomial_at_q_one_is_binomial():
+    for a in range(0, 12):
+        for k in range(0, a + 1):
+            assert q_binomial(a, k).substitute("q", 1) == math.comb(a, k)
+
+
+def test_q_binomial_rejects_out_of_range():
+    for a, k in ((3, -1), (3, 4), (-1, 0)):
+        with pytest.raises(IndexError):
+            q_binomial(a, k)
