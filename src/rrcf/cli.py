@@ -144,10 +144,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     try:
         pt = numeric.NumericPoint(q=args.q, lam=args.lam, b=args.b)
-        report = numeric.convergence_demo(pt, args.n_max, args.k)
-    except numeric.NonConvergent as exc:
+    except ValueError as exc:  # NonConvergent, or a non-finite point
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    try:
+        report = numeric.convergence_demo(pt, args.n_max, args.k)
     except numeric.NumericBreakdown as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

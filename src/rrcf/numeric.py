@@ -47,7 +47,7 @@ class NumericBreakdown(ArithmeticError):
 
 @dataclass(frozen=True)
 class NumericPoint:
-    """An evaluation point (q, lam, b) with |q| < 1, plus tolerance knobs."""
+    """A finite evaluation point (q, lam, b) with |q| < 1, plus tolerance knobs."""
 
     q: float
     lam: float
@@ -56,6 +56,8 @@ class NumericPoint:
     compare_tol: float = COMPARE_TOL_DEFAULT
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.q, self.lam, self.b))):
+            raise ValueError(f"q, lambda and b must be finite, got q={self.q}, lambda={self.lam}, b={self.b}")
         if not abs(self.q) < 1.0:
             raise NonConvergent(f"|q| must be < 1, got q={self.q}")
 

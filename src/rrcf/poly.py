@@ -1,15 +1,14 @@
 """Exact sparse polynomial and rational-function arithmetic in q, l, b.
 
-A polynomial is a finite map from monomials to nonzero rational coefficients.
+A polynomial is a finite map from monomials to nonzero integer coefficients.
 Monomials are exponent triples ``(eq, el, eb)`` for the three indeterminates
 ``q``, ``l`` (lambda) and ``b``; exponents are non-negative.  Coefficients are
-arbitrary-precision rationals, stored as plain ``int`` whenever the denominator
-is 1 (the common case) and as ``Fraction`` otherwise.
+arbitrary-precision Python ``int``; anything else is rejected.
 
 Rational functions are quotients of two polynomials, kept in a normal form:
 
-* rational content divided out, so numerator and denominator have integer
-  coefficients with overall content 1;
+* integer content divided out, so numerator and denominator have overall
+  content 1;
 * the denominator's coefficient at its lexicographically smallest monomial
   (ordering q, then l, then b) is positive;
 * common factors from the structured set ``{1 - q^j, 1 + b*q^j}`` are
@@ -20,6 +19,11 @@ library is a product of structured factors, and equality is decided by
 cross-multiplication, so correctness never depends on how far a quotient
 was reduced.
 
+``Fraction`` enters only as a ``RationalFunction`` scalar, as a constructor
+argument or an arithmetic operand; it is split there into an integer
+numerator and denominator, so no polynomial ever holds a rational
+coefficient.
+
 All values are immutable after construction and all operations are pure, so
 everything here is safe to use from multiple threads.
 """
@@ -29,10 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
-
-Coeff = Union[int, Fraction]
-Scalar = Union[int, Fraction]
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "Monomial",
@@ -69,33 +70,21 @@ _UNIT_MONO = Monomial(0, 0, 0)
 _VAR_INDEX = {"q": 0, "l": 1, "b": 2}
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _coeff_div(a: Coeff, d: Coeff) -> Coeff:
-    if isinstance(a, int) and isinstance(d, int):
-        q, r = divmod(a, d)
-        return q if r == 0 else Fraction(a, d)
-    return _norm_coeff(Fraction(a) / Fraction(d))
-
-
 class Polynomial:
-    """Immutable sparse polynomial in q, l, b with exact rational coefficients."""
+    """Immutable sparse polynomial in q, l, b with integer coefficients."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple, Coeff] | Iterable[tuple] | None = None):
-        store: dict[tuple, Coeff] = {}
+    def __init__(self, terms: Mapping[tuple, int] | Iterable[tuple] | None = None):
+        store: dict[tuple, int] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
-            for mono, coeff in items:
+            for mono, c in items:
                 eq, el, eb = mono
                 if eq < 0 or el < 0 or eb < 0:
                     raise ValueError(f"negative exponent in monomial {mono!r}")
-                c = _norm_coeff(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficient {c!r} of monomial {mono!r} is not an int")
                 if c == 0:
                     continue
                 key = (int(eq), int(el), int(eb))
@@ -107,12 +96,12 @@ class Polynomial:
                     if s == 0:
                         del store[key]
                     else:
-                        store[key] = _norm_coeff(s)
+                        store[key] = s
         self._terms = store
 
     @classmethod
-    def _raw(cls, terms: dict[tuple, Coeff]) -> "Polynomial":
-        # internal: terms already canonical (no zeros, normalized coeffs)
+    def _raw(cls, terms: dict[tuple, int]) -> "Polynomial":
+        # internal: terms already canonical (int coefficients, no zeros)
         p = object.__new__(cls)
         p._terms = terms
         return p
@@ -126,7 +115,7 @@ class Polynomial:
         return ONE
 
     @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
+    def constant(cls, c: int) -> "Polynomial":
         return cls({_UNIT_MONO: c})
 
     @classmethod
@@ -138,7 +127,7 @@ class Polynomial:
         return cls({tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, eq: int, el: int = 0, eb: int = 0, coeff: Scalar = 1) -> "Polynomial":
+    def monomial(cls, eq: int, el: int = 0, eb: int = 0, coeff: int = 1) -> "Polynomial":
         return cls({(eq, el, eb): coeff})
 
     # -- inspection ---------------------------------------------------------
@@ -147,7 +136,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Monomial, Coeff]]:
+    def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Iterate (monomial, coefficient) pairs in ascending lexicographic order."""
         for key in sorted(self._terms):
             yield Monomial(*key), self._terms[key]
@@ -155,11 +144,11 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, eq: int, el: int = 0, eb: int = 0) -> Coeff:
+    def coefficient(self, eq: int, el: int = 0, eb: int = 0) -> int:
         return self._terms.get((eq, el, eb), 0)
 
     @property
-    def constant_coeff(self) -> Coeff:
+    def constant_coeff(self) -> int:
         return self._terms.get(_UNIT_MONO, 0)
 
     def degree(self, var: str) -> int:
@@ -169,7 +158,7 @@ class Polynomial:
         i = _VAR_INDEX[var]
         return max(key[i] for key in self._terms)
 
-    def trailing(self) -> tuple[Monomial, Coeff]:
+    def trailing(self) -> tuple[Monomial, int]:
         """The term at the lexicographically smallest monomial."""
         if not self._terms:
             raise ValueError("zero polynomial has no trailing term")
@@ -181,7 +170,7 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self._terms == Polynomial.constant(other)._terms
         return NotImplemented
 
@@ -197,8 +186,8 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw({k: -c for k, c in self._terms.items()})
 
-    def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: "Polynomial | int") -> "Polynomial":
+        if isinstance(other, int):
             other = Polynomial.constant(other)
         elif not isinstance(other, Polynomial):
             return NotImplemented
@@ -212,27 +201,26 @@ class Polynomial:
                 if s == 0:
                     del out[key]
                 else:
-                    out[key] = _norm_coeff(s)
+                    out[key] = s
         return Polynomial._raw(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: "Polynomial | int") -> "Polynomial":
+        if isinstance(other, int):
             other = Polynomial.constant(other)
         elif not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> "Polynomial":
+    def __rsub__(self, other: int) -> "Polynomial":
         return Polynomial.constant(other) - self
 
-    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "Polynomial | int") -> "Polynomial":
+        if isinstance(other, int):
             if other == 0:
                 return ZERO
-            c = _norm_coeff(other)
-            return Polynomial._raw({k: _norm_coeff(v * c) for k, v in self._terms.items()})
+            return Polynomial._raw({k: v * other for k, v in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self._terms or not other._terms:
@@ -240,14 +228,14 @@ class Polynomial:
         a, bt = self._terms, other._terms
         if len(a) < len(bt):
             a, bt = bt, a
-        out: dict[tuple, Coeff] = {}
+        out: dict[tuple, int] = {}
         get = out.get
         for (aq, al, ab), ca in a.items():
             for (bq, bl, bb), cb in bt.items():
                 key = (aq + bq, al + bl, ab + bb)
                 prev = get(key)
                 out[key] = ca * cb if prev is None else prev + ca * cb
-        return Polynomial._raw({k: _norm_coeff(c) for k, c in out.items() if c != 0})
+        return Polynomial._raw({k: c for k, c in out.items() if c != 0})
 
     __rmul__ = __mul__
 
@@ -264,18 +252,17 @@ class Polynomial:
                 base = base * base
         return result
 
-    def __truediv__(self, other: "Polynomial | Scalar") -> "RationalFunction":
-        if isinstance(other, Polynomial):
-            return RationalFunction(self, other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(self, Polynomial.constant(other))
-        return NotImplemented
+    def __truediv__(self, other) -> "RationalFunction":
+        # any divisor RationalFunction accepts, Fraction scalars included
+        return RationalFunction(self) / other
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Return c with c * divisor == self, or raise NotDivisible.
 
         Multivariate long division against the lexicographic leading term;
-        exactness fails as soon as a remainder term cannot be cancelled.
+        exactness fails as soon as a remainder term cannot be cancelled,
+        including when its coefficient is not an integer multiple of the
+        divisor's leading coefficient.
         The remainder's leading monomial is tracked with a lazy max-heap.
         """
         if divisor.is_zero:
@@ -289,7 +276,7 @@ class Polynomial:
         rem = dict(self._terms)
         heap = [(-k[0], -k[1], -k[2]) for k in rem]
         heapq.heapify(heap)
-        out: dict[tuple, Coeff] = {}
+        out: dict[tuple, int] = {}
         while rem:
             nk = heapq.heappop(heap)
             rkey = (-nk[0], -nk[1], -nk[2])
@@ -298,20 +285,22 @@ class Polynomial:
             mq, ml, mb = rkey[0] - dq, rkey[1] - dl, rkey[2] - db
             if mq < 0 or ml < 0 or mb < 0:
                 raise NotDivisible(f"{self} is not divisible by {divisor}")
-            c = _coeff_div(rem.pop(rkey), dc)
+            c, r = divmod(rem.pop(rkey), dc)
+            if r:
+                raise NotDivisible(f"{self} is not divisible by {divisor}")
             out[(mq, ml, mb)] = c
             for (tq, tl, tb), tc in rest:
                 key = (tq + mq, tl + ml, tb + mb)
                 prev = rem.get(key)
                 if prev is None:
-                    rem[key] = _norm_coeff(-c * tc)
+                    rem[key] = -c * tc
                     heapq.heappush(heap, (-key[0], -key[1], -key[2]))
                 else:
                     s = prev - c * tc
                     if s == 0:
                         del rem[key]
                     else:
-                        rem[key] = _norm_coeff(s)
+                        rem[key] = s
         return Polynomial._raw(out)
 
     # -- evaluation and substitution ----------------------------------------
@@ -328,28 +317,22 @@ class Polynomial:
             parts.append(float(c) * pq[eq] * pl[el] * pb[eb])
         return math.fsum(parts)
 
-    def eval_exact(self, q: Scalar, lam: Scalar, b: Scalar) -> Coeff:
-        total: Coeff = 0
-        for (eq, el, eb), c in self._terms.items():
-            total = total + c * q**eq * lam**el * b**eb
-        return _norm_coeff(total)
+    def eval_exact(self, q: int, lam: int, b: int) -> int:
+        return sum(c * q**eq * lam**el * b**eb for (eq, el, eb), c in self._terms.items())
 
-    def substitute(self, var: str, value: Scalar) -> "Polynomial":
-        """Set one variable to an exact rational constant."""
+    def substitute(self, var: str, value: int) -> "Polynomial":
+        """Set one variable to an integer constant."""
+        if not isinstance(value, int):
+            raise TypeError(f"substitute takes an int, got {value!r}")
         i = _VAR_INDEX[var]
-        acc: dict[tuple, Coeff] = {}
+        acc: dict[tuple, int] = {}
         for key, c in self._terms.items():
             newkey = list(key)
             e = newkey[i]
             newkey[i] = 0
-            scaled = c * (Fraction(value) ** e if e else 1)
             k = tuple(newkey)
-            acc[k] = acc.get(k, 0) + scaled
-        return Polynomial._raw({k: _norm_coeff(c) for k, c in acc.items() if c != 0})
-
-    def content(self) -> Fraction:
-        """gcd of numerators over lcm of denominators; 0 for the zero polynomial."""
-        return _content(self._terms.values())
+            acc[k] = acc.get(k, 0) + c * value**e
+        return Polynomial._raw({k: c for k, c in acc.items() if c != 0})
 
     # -- rendering ----------------------------------------------------------
 
@@ -386,7 +369,9 @@ class Polynomial:
 
     @classmethod
     def from_terms_json(cls, data: Iterable[dict]) -> "Polynomial":
-        return cls({(t["q"], t["l"], t["b"]): Fraction(t["c"]) for t in data})
+        """Inverse of to_terms_json; every coefficient must read as a decimal integer."""
+        # via str, so that a float or "1/2" raises instead of being truncated
+        return cls({(t["q"], t["l"], t["b"]): int(str(t["c"])) for t in data})
 
 
 class _PowerCache:
@@ -412,49 +397,26 @@ L = Polynomial._raw({(0, 1, 0): 1})
 B = Polynomial._raw({(0, 0, 1): 1})
 
 
-def _content(coeffs: Iterable[Coeff]) -> Fraction:
-    g = 0
-    m = 1
-    for c in coeffs:
-        if isinstance(c, int):
-            g = math.gcd(g, abs(c))
-        else:
-            g = math.gcd(g, abs(c.numerator))
-            m = math.lcm(m, c.denominator)
-    return Fraction(g, m)
-
-
-def _scale_to_int(terms: dict[tuple, Coeff], inv_content: Fraction) -> dict[tuple, Coeff]:
-    num, den = inv_content.numerator, inv_content.denominator
-    out: dict[tuple, Coeff] = {}
-    for k, c in terms.items():
-        if isinstance(c, int):
-            out[k] = c * num // den
-        else:
-            out[k] = _norm_coeff(c * inv_content)
-    return out
-
-
 def _normalize_content(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Divide both polynomials by their joint rational content."""
-    c = _content(list(num._terms.values()) + list(den._terms.values()))
+    """Divide both polynomials by the gcd of all their coefficients."""
+    c = math.gcd(*num._terms.values(), *den._terms.values())
     if c == 1:
         return num, den
-    inv = 1 / c
     return (
-        Polynomial._raw(_scale_to_int(num._terms, inv)),
-        Polynomial._raw(_scale_to_int(den._terms, inv)),
+        Polynomial._raw({k: v // c for k, v in num._terms.items()}),
+        Polynomial._raw({k: v // c for k, v in den._terms.items()}),
     )
 
 
-def _structured_factor_candidates(max_j: int) -> Iterator[Polynomial]:
-    # 1 + b*q^j for j >= 0, then 1 - q^j for j >= 1.  Descending j within a
-    # family, so that e.g. a common (1-q^2) is taken out whole instead of
-    # losing its (1-q) part and stranding the (1+q) cofactor.
+def _structured_factor_candidates(max_j: int) -> Iterator[tuple[int, Polynomial]]:
+    # (j, factor) with factor of q-degree j: 1 + b*q^j for j >= 0, then
+    # 1 - q^j for j >= 1.  Descending j within a family, so that e.g. a
+    # common (1-q^2) is taken out whole instead of losing its (1-q) part and
+    # stranding the (1+q) cofactor.
     for j in range(max_j, -1, -1):
-        yield Polynomial._raw({_UNIT_MONO: 1, (j, 0, 1): 1})
+        yield j, Polynomial._raw({_UNIT_MONO: 1, (j, 0, 1): 1})
     for j in range(max_j, 0, -1):
-        yield Polynomial._raw({_UNIT_MONO: 1, (j, 0, 0): -1})
+        yield j, Polynomial._raw({_UNIT_MONO: 1, (j, 0, 0): -1})
 
 
 _FILTER_POINT = (3, 2, 2)
@@ -464,20 +426,20 @@ def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     """Divide out common factors (1 - q^j) and (1 + b*q^j) from num and den.
 
     A cheap integer filter (evaluation at a fixed point) rejects most
-    non-divisors before any trial division is attempted.  Expects integer
-    coefficients (call after content normalization).
+    non-divisors before any trial division is attempted.  The q-degree of
+    den is tracked, not recomputed: exact division by a factor of q-degree
+    j lowers it by exactly j.
     """
     if len(den) <= 1 and den.constant_coeff != 0:
         return num, den
     fq, fl, fb = _FILTER_POINT
     num_val = num.eval_exact(fq, fl, fb)
     den_val = den.eval_exact(fq, fl, fb)
-    use_filter = num_val != 0 and den_val != 0 and isinstance(num_val, int) and isinstance(den_val, int)
-    for factor in _structured_factor_candidates(den.degree("q")):
+    use_filter = num_val != 0 and den_val != 0
+    dq = den.degree("q")
+    for j, factor in _structured_factor_candidates(dq):
         f_val = abs(factor.eval_exact(fq, fl, fb))
-        while True:
-            if den.degree("q") < factor.degree("q"):
-                break
+        while dq >= j:
             if use_filter and (num_val % f_val or den_val % f_val):
                 break
             try:
@@ -486,6 +448,7 @@ def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
             except NotDivisible:
                 break
             num, den = new_num, new_den
+            dq -= j
             if use_filter:
                 num_val //= f_val
                 den_val //= f_val
@@ -504,7 +467,12 @@ class RationalFunction:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num: Polynomial | Scalar, den: Polynomial | Scalar = ONE):
+    def __init__(self, num: Polynomial | int | Fraction, den: Polynomial | int | Fraction = ONE):
+        # the one place a Fraction is accepted: split it into integers
+        if isinstance(num, Fraction):
+            num, den = num.numerator, num.denominator * den
+        if isinstance(den, Fraction):
+            num, den = den.denominator * num, den.numerator
         if not isinstance(num, Polynomial):
             num = Polynomial.constant(num)
         if not isinstance(den, Polynomial):
@@ -515,9 +483,9 @@ class RationalFunction:
             self._num = ZERO
             self._den = ONE
             return
-        num, den = _normalize_content(num, den)
-        num, den = _cancel_structured(num, den)
-        num, den = _normalize_content(num, den)
+        # the structured factors have content 1, so by Gauss's lemma
+        # cancelling them leaves the joint content at 1
+        num, den = _cancel_structured(*_normalize_content(num, den))
         if den.trailing()[1] < 0:
             num = -num
             den = -den
@@ -624,7 +592,7 @@ class RationalFunction:
     def eval_numeric(self, q: float, lam: float, b: float) -> float:
         return self._num.eval_numeric(q, lam, b) / self._den.eval_numeric(q, lam, b)
 
-    def substitute(self, var: str, value: Scalar) -> "RationalFunction":
+    def substitute(self, var: str, value: int) -> "RationalFunction":
         den = self._den.substitute(var, value)
         if den.is_zero:
             raise DivisionByZero(f"denominator vanishes at {var}={value}")

@@ -187,6 +187,18 @@ def test_eval_rejects_q_outside_unit_interval(capsys):
     assert "|q|" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["--q", "--lambda", "--b"])
+def test_eval_rejects_non_finite_point(capsys, flag, value):
+    point = {"--q": "0.5", "--lambda": "1", "--b": "1"}
+    point[flag] = value
+    argv = [f"{name}={v}" for name, v in point.items()]  # "--b=-inf", not a flag
+    code, out, err = run_cli(capsys, "eval", *argv, "--n-max", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_eval_at_pole_is_clean_error(capsys):
     # b = -1/q is a pole of (-bq;q)_k: exit 1 with an error line, no traceback
     code, out, err = run_cli(capsys, "eval", "--q", "0.5", "--lambda", "1", "--b", "-2")

@@ -31,6 +31,13 @@ GRID = [
 ]
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_point_rejects_non_finite_coordinates(bad):
+    for coords in ((bad, 1.0, 1.0), (0.5, bad, 1.0), (0.5, 1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            NumericPoint(*coords)
+
+
 def test_point_requires_q_inside_unit_interval():
     with pytest.raises(NonConvergent):
         NumericPoint(q=1.0, lam=1.0, b=0.0)

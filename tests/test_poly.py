@@ -94,9 +94,7 @@ def test_degree_and_substitute():
     assert p.degree("l") == 1
     assert ZERO.degree("q") == -1
     assert p.substitute("b", 0) == ONE + L * Q**2
-    assert p.substitute("q", Fraction(1, 2)) == Polynomial(
-        {(0, 0, 0): 1, (0, 0, 1): Fraction(1, 2), (0, 1, 0): Fraction(1, 4)}
-    )
+    assert p.substitute("q", 2) == Polynomial({(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 0): 4})
 
 
 @given(p=polynomials, r=polynomials, s=polynomials)
@@ -116,6 +114,57 @@ def test_exact_div_inverts_mul(a, d):
 def test_commutativity(p, r):
     assert p + r == r + p
     assert p * r == r * p
+
+
+# -- integer-only coefficients -----------------------------------------------
+
+
+def _int_coefficients(p):
+    return all(type(c) is int for _, c in p.terms())
+
+
+@given(p=polynomials, r=polynomials, d=nonzero_polynomials, e=st.integers(0, 3), v=st.integers(-3, 3))
+@settings(max_examples=100)
+def test_every_result_has_int_coefficients(p, r, d, e, v):
+    results = [p + r, p - r, p * r, p**e, (p * d).exact_div(d), p.substitute("q", v), p.substitute("b", v)]
+    rfs = [RationalFunction(p, d), RationalFunction(p, d) * Fraction(2, 3)]
+    if r:
+        rfs.append(RationalFunction(p * d, d * r))
+    for rf in rfs:
+        results += [rf.num, rf.den]
+        if rf.num:
+            # normal form: the joint content of num and den is 1
+            assert math.gcd(*(c for _, c in rf.num.terms()), *(c for _, c in rf.den.terms())) == 1
+    assert all(_int_coefficients(x) for x in results)
+
+
+def test_fraction_coefficient_rejected():
+    with pytest.raises(TypeError):
+        Polynomial({(1, 0, 0): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        Polynomial.constant(Fraction(2, 1))
+    with pytest.raises(TypeError):
+        Q * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Q.substitute("q", Fraction(1, 2))
+
+
+def test_from_terms_json_rejects_rational_coefficient():
+    for c in ("1/2", 1.5):
+        with pytest.raises(ValueError):
+            Polynomial.from_terms_json([{"c": c, "q": 1, "l": 0, "b": 0}])
+
+
+def test_exact_div_non_integer_quotient_raises():
+    with pytest.raises(NotDivisible):
+        Q.exact_div(2 * Q)
+
+
+def test_fraction_scalars_go_through_rational_function():
+    half = RationalFunction(Q) * Fraction(1, 2)
+    assert half.num == Q and half.den == Polynomial.constant(2)
+    assert Q / Fraction(2, 3) == RationalFunction(3 * Q, 2)
+    assert RationalFunction(Fraction(3, 4), Fraction(1, 2)) == RationalFunction(3, 2)
 
 
 # -- numeric evaluation ------------------------------------------------------
@@ -186,7 +235,10 @@ def test_rf_structured_cancellation_reduces():
 
 
 def test_rf_content_and_sign_normalization():
-    rf = RationalFunction(Polynomial({(1, 0, 0): Fraction(1, 2)}), Polynomial({(0, 0, 0): Fraction(3, 2)}))
+    rf = RationalFunction(3 * Q, Polynomial.constant(9))
+    assert rf.num == Q and rf.den == Polynomial.constant(3)
+    # (q/2) / (3/2) with the rational content carried by Fraction scalars
+    rf = RationalFunction(Q) * Fraction(1, 2) / Fraction(3, 2)
     assert rf.num == Q and rf.den == Polynomial.constant(3)
     flipped = RationalFunction(ONE, Q - ONE)
     assert flipped.den.trailing()[1] > 0
