@@ -32,7 +32,8 @@ Every term of these sums is a q-binomial over a product of factors
 built as one polynomial numerator over its common denominator and
 normalised once, with no rational-function arithmetic per term.
 
-All functions are pure; g is memoized behind a thread-safe cache.
+All functions are pure; g is memoized behind a thread-safe cache bounded at
+``_G_CACHE_SIZE`` entries, enough for every g_n(s) with n <= 20.
 """
 
 from __future__ import annotations
@@ -83,7 +84,11 @@ def nu(n: int) -> Polynomial:
     )
 
 
-@lru_cache(maxsize=None)
+# g_n(s) for n <= 20 and 0 <= s <= n+1 is 250 entries.
+_G_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_G_CACHE_SIZE)
 def _g_cached(n: int, s: int) -> RationalFunction:
     # Term k has denominator (-bq^s;q)_k (-bq^(n-k+1);q)_k.  The two j-ranges
     # [s, s+k-1] and [n-k+1, n] are disjoint since 2k <= n-s+1, and both grow

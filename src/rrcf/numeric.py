@@ -7,10 +7,17 @@ ratio of the two basic hypergeometric series
     --------------------------------------------- ,
     sum_k q^(k^2+k) l^k / ((q;q)_k (-bq;q)_k)
 
-and this module tabulates that approach numerically: the truncated series
-ratio is the reference value (its own oracle, checked by agreement between
-two truncation levels), and the convergents are evaluated by the backward
-recurrence in double precision.
+and this module tabulates that approach numerically.  The truncated series
+ratio is the reference value.  It is summed term by term until a term falls
+below term_stop relative to both partial sums; a series that has not met
+that rule within max_terms terms raises NumericBreakdown rather than return
+an unconverged value.
+
+The convergents are evaluated by the backward recurrence in double
+precision.  Its coefficients 1 + b*q^j and lam*q^(j+1) depend only on j, so
+each point builds them once, as a table of 2n+1 floats, and every row of the
+convergence table reads that table: n_max(n_max-1)/2 backward steps per
+point, with no power calls.
 
 Everything here is scalar float math; pure functions, no shared state.
 """
@@ -42,7 +49,12 @@ class NonConvergent(ValueError):
 
 
 class NumericBreakdown(ArithmeticError):
-    """A continued-fraction tail vanished to machine precision."""
+    """No trustworthy float value at this point.
+
+    Raised at a pole (a continued-fraction tail vanished to machine
+    precision, or a factor 1 + b*q^j of the series is zero), and when the
+    series has not converged within its term bound.
+    """
 
 
 @dataclass(frozen=True)
@@ -63,6 +75,8 @@ class NumericPoint:
 
 
 def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, int]:
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     q, lam, b = pt.q, pt.lam, pt.b
     num = den = 0.0
     poch_q = poch_b = 1.0  # (q;q)_k and (-bq;q)_k, running
@@ -88,6 +102,10 @@ def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, i
         used = k
         if k > 0 and abs(t) < pt.term_stop * abs(num) and abs(t * q_k) < pt.term_stop * abs(den):
             break
+    else:
+        raise NumericBreakdown(
+            f"series did not converge within k={max_terms} terms at (q={q}, lam={lam}, b={b})"
+        )
     return num / den, used
 
 
@@ -95,26 +113,37 @@ def series_ratio_entry15(pt: NumericPoint, max_terms: int) -> float:
     """Ratio of the two series, both truncated after at most max_terms terms.
 
     Stops early once a term falls below term_stop relative to both partial
-    sums; |q| < 1 is enforced by NumericPoint.
+    sums, and raises NumericBreakdown if that has not happened within
+    max_terms terms; |q| < 1 is enforced by NumericPoint.
     """
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     return _series_ratio_with_terms(pt, max_terms)[0]
+
+
+def _coefficients(pt: NumericPoint, n: int) -> tuple[list[float], list[float]]:
+    # c[j] = 1 + b*q^j for j = 0..n and a[j] = lam*q^(j+1) for j = 0..n-1: the
+    # partial denominators and numerators of every convergent up to depth n.
+    q, lam, b = pt.q, pt.lam, pt.b
+    return [1.0 + b * q**j for j in range(n + 1)], [lam * q ** (j + 1) for j in range(n)]
+
+
+def _backward(pt: NumericPoint, c: list[float], a: list[float], n: int) -> float:
+    # T_n = c[n], T_j = c[j] + a[j]/T_(j+1), convergent = 1 + a[0]/T_1.
+    t = c[n]
+    for j in range(n - 1, 0, -1):
+        if abs(t) < 1e-280:
+            raise NumericBreakdown(f"tail T_{j + 1} vanished at (q={pt.q}, lam={pt.lam}, b={pt.b})")
+        t = c[j] + a[j] / t
+    if abs(t) < 1e-280:
+        raise NumericBreakdown(f"tail T_1 vanished at (q={pt.q}, lam={pt.lam}, b={pt.b})")
+    return 1.0 + a[0] / t
 
 
 def cf_numeric(pt: NumericPoint, n: int) -> float:
     """The n-th convergent 1 + lq/(1+bq) + ... + lq^n/(1+bq^n), by backward recurrence."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    q, lam, b = pt.q, pt.lam, pt.b
-    t = 1.0 + b * q**n
-    for j in range(n - 1, 0, -1):
-        if abs(t) < 1e-280:
-            raise NumericBreakdown(f"tail T_{j + 1} vanished at (q={q}, lam={lam}, b={b})")
-        t = 1.0 + b * q**j + lam * q ** (j + 1) / t
-    if abs(t) < 1e-280:
-        raise NumericBreakdown(f"tail T_1 vanished at (q={q}, lam={lam}, b={b})")
-    return 1.0 + lam * q / t
+    c, a = _coefficients(pt, n)
+    return _backward(pt, c, a, n)
 
 
 @dataclass(frozen=True)
@@ -170,14 +199,19 @@ class ConvergenceReport:
 
 
 def convergence_demo(pt: NumericPoint, n_max: int, max_terms: int = 50) -> ConvergenceReport:
-    """Tabulate |convergent(n) - series ratio| for n = 1..n_max."""
+    """Tabulate |convergent(n) - series ratio| for n = 1..n_max.
+
+    The recurrence coefficients are computed once for depth n_max and shared
+    by every row.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     ratio, used = _series_ratio_with_terms(pt, max_terms)
     if not math.isfinite(ratio):
         raise NumericBreakdown(f"series ratio is not finite at (q={pt.q}, lam={pt.lam}, b={pt.b})")
+    c, a = _coefficients(pt, n_max)
     rows = []
     for n in range(1, n_max + 1):
-        value = cf_numeric(pt, n)
+        value = _backward(pt, c, a, n)
         rows.append(ConvergenceRow(n, value, abs(value - ratio)))
     return ConvergenceReport(point=pt, series_ratio=ratio, truncation_terms=used, rows=tuple(rows))

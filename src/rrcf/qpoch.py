@@ -11,7 +11,8 @@ polynomial in q; it is computed as the exact quotient
 ``(q^(a-k+1);q)_k / (q;q)_k``.
 
 Everything is a pure function of its arguments; the memo table behind the
-products is a thread-safe ``lru_cache``.
+products is a thread-safe ``lru_cache`` bounded at ``_PRODUCT_CACHE_SIZE``
+entries, enough for every product that depths n <= 20 use.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from .poly import ONE, B, Polynomial, Q
 
 __all__ = ["poch_q", "poch_neg_bq", "q_binomial"]
 
+# Every g, g_difference, mu, nu and asi_u at depths n <= 20 uses 312 products.
+_PRODUCT_CACHE_SIZE = 1024
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_PRODUCT_CACHE_SIZE)
 def _product(neg_b: bool, m: int, k: int) -> Polynomial:
     # prod_{j=m}^{m+k-1} (1 + b*q^j) if neg_b else (1 - q^j)
     if m < 0:

@@ -207,6 +207,14 @@ def test_eval_at_pole_is_clean_error(capsys):
     assert err.startswith("error: ") and "pole" in err
 
 
+def test_eval_unconverged_series_is_clean_error(capsys):
+    # one series term is far from the converged ratio 1.3443079305048562
+    code, out, err = run_cli(capsys, "eval", "--q", "0.5", "--lambda", "1", "--b", "0.5", "--k", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "k=1" in err
+
+
 def test_eval_lambda_zero_constant_column(capsys):
     code, out, _ = run_cli(capsys, "eval", "--q", "0.2", "--lambda", "0", "--b", "1")
     assert code == 0

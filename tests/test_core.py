@@ -7,6 +7,7 @@ acceptance tests.
 
 import pytest
 
+from rrcf import core, qpoch
 from rrcf.core import (
     CFSpec,
     _assert_unit_constant,
@@ -343,3 +344,36 @@ def test_asi_x_hook_at_zero():
         else:
             m = n // 2
             assert value == RationalFunction(Polynomial.monomial(m * m + m, m))
+
+
+# -- memo tables -----------------------------------------------------------------
+
+
+def test_g_cache_is_bounded():
+    cache = core._g_cached
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and maxsize == core._G_CACHE_SIZE
+    try:
+        for n in range(1, maxsize + 10):  # g_n(n+1) = 1 is a one-term sum
+            assert g(n, n + 1) == RF_ONE
+        info = cache.cache_info()
+        assert info.misses > maxsize
+        assert info.currsize <= maxsize
+    finally:
+        cache.cache_clear()
+
+
+def test_memo_tables_hold_every_entry_up_to_depth_20():
+    # No entry a depth n <= 20 needs is ever evicted: every miss stays cached.
+    core._g_cached.cache_clear()
+    qpoch._product.cache_clear()
+    for n in range(1, 21):
+        for s in range(n + 2):
+            g(n, s)
+        for s in range(n):
+            g_difference(n, s)
+        for f in (mu, nu, asi_u):
+            f(n)
+    for cache in (core._g_cached, qpoch._product):
+        info = cache.cache_info()
+        assert info.currsize == info.misses <= info.maxsize, info

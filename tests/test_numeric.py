@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -159,3 +160,82 @@ def test_report_json_round_trip():
     report = convergence_demo(DESK_POINT, 6, 50)
     data = json.loads(json.dumps(report.to_json()))
     assert ConvergenceReport.from_json(data) == report
+
+
+def test_series_ratio_rejects_max_terms_below_one():
+    with pytest.raises(ValueError, match="max_terms must be >= 1, got 0"):
+        series_ratio_entry15(DESK_POINT, 0)
+
+
+def test_demo_rejects_max_terms_below_one():
+    with pytest.raises(ValueError, match="max_terms must be >= 1, got 0"):
+        convergence_demo(DESK_POINT, 5, 0)
+
+
+def test_unconverged_series_raises_naming_k():
+    # At q = 0.5 the terms fall off like q^(k^2); one term is far from enough.
+    pt = NumericPoint(q=0.5, lam=1.0, b=0.5)
+    with pytest.raises(NumericBreakdown, match="k=1 terms"):
+        series_ratio_entry15(pt, 1)
+    with pytest.raises(NumericBreakdown, match="k=3 terms"):
+        convergence_demo(pt, 5, 3)
+    assert convergence_demo(pt, 5, 50).truncation_terms < 50
+
+
+# -- the shared coefficient table against the per-row recurrence -------------------
+
+
+def _reference_cf(pt, n):
+    """The n-th convergent by a fresh backward recurrence with its own powers."""
+    q, lam, b = pt.q, pt.lam, pt.b
+    t = 1.0 + b * q**n
+    for j in range(n - 1, 0, -1):
+        if abs(t) < 1e-280:
+            raise NumericBreakdown(f"tail T_{j + 1} vanished at (q={q}, lam={lam}, b={b})")
+        t = 1.0 + b * q**j + lam * q ** (j + 1) / t
+    if abs(t) < 1e-280:
+        raise NumericBreakdown(f"tail T_1 vanished at (q={q}, lam={lam}, b={b})")
+    return 1.0 + lam * q / t
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericBreakdown as exc:
+        return (type(exc), str(exc))
+
+
+def _oracle_points():
+    rng = random.Random(20161)
+    points = [
+        NumericPoint(q=rng.uniform(-0.9, 0.9), lam=rng.uniform(-2.0, 2.0), b=rng.uniform(-2.0, 2.0))
+        for _ in range(2000)
+    ]
+    for _ in range(200):  # within 1e-9 of the pole b = -q^(-j)
+        q = rng.choice((-1, 1)) * rng.uniform(0.3, 0.9)
+        b = -(q ** -rng.randint(1, 6)) + rng.uniform(-1e-9, 1e-9)
+        points.append(NumericPoint(q=q, lam=rng.uniform(-2.0, 2.0), b=b))
+    return points
+
+
+ORACLE_N_MAX = 60
+
+
+def test_shared_table_is_bit_identical_to_per_row_recurrence():
+    for pt in _oracle_points():
+        expected = [_outcome(_reference_cf, pt, n) for n in range(1, ORACLE_N_MAX + 1)]
+        assert [_outcome(cf_numeric, pt, n) for n in range(1, ORACLE_N_MAX + 1)] == expected, pt
+        if any(isinstance(e, tuple) for e in expected):
+            continue
+        report = convergence_demo(pt, ORACLE_N_MAX, 50)
+        assert [r.convergent for r in report.rows] == expected, pt
+        assert [r.deviation for r in report.rows] == [abs(e - report.series_ratio) for e in expected], pt
+
+
+@pytest.mark.parametrize("b, tail", [(-2.0, 1), (-4.0, 2)])
+def test_shared_table_breaks_down_like_per_row_recurrence(b, tail):
+    # At q = 1/2, b = -2 zeroes the tail T_1 at n = 1 and b = -4 the tail T_2 at n = 2.
+    pt = NumericPoint(q=0.5, lam=1.0, b=b)
+    outcomes = [_outcome(cf_numeric, pt, n) for n in range(1, ORACLE_N_MAX + 1)]
+    assert outcomes == [_outcome(_reference_cf, pt, n) for n in range(1, ORACLE_N_MAX + 1)]
+    assert outcomes[tail - 1] == (NumericBreakdown, f"tail T_{tail} vanished at (q=0.5, lam=1.0, b={b})")

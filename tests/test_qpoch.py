@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rrcf import qpoch
 from rrcf.poly import B, ONE, Q, RationalFunction
 from rrcf.qpoch import poch_neg_bq, poch_q, q_binomial
 
@@ -160,3 +161,17 @@ def test_q_binomial_rejects_out_of_range():
     for a, k in ((3, -1), (3, 4), (-1, 0)):
         with pytest.raises(IndexError):
             q_binomial(a, k)
+
+
+def test_product_cache_is_bounded():
+    cache = qpoch._product
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and maxsize == qpoch._PRODUCT_CACHE_SIZE
+    try:
+        for m in range(1, maxsize + 10):  # two new entries each: k = 1 and k = 0
+            assert poch_q(1, m) == ONE - Q**m
+        info = cache.cache_info()
+        assert info.misses > maxsize
+        assert info.currsize <= maxsize
+    finally:
+        cache.cache_clear()
