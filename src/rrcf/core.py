@@ -219,7 +219,7 @@ def cf_convergents_forward(spec: CFSpec) -> list[ConvergentPair]:
     cf_finite_backward; the determinant identity
     P_j Q_{j-1} - P_{j-1} Q_j = (-1)^(j-1) l^j q^(j(j+1)/2) pins both down.
     """
-    p_prev, q_prev = ONE, Polynomial.zero()
+    p_prev, q_prev = ONE, ZERO
     p_cur, q_cur = spec.leading, ONE
     pairs = [ConvergentPair(0, p_cur, q_cur)]
     for j in range(1, spec.depth + 1):
@@ -240,25 +240,20 @@ def convergent(n: int) -> RationalFunction:
     return (ONE + B) * g(n, 0) / g(n, 1) - B
 
 
-def asi_u(n: int, x: int | Polynomial | RationalFunction = 1) -> RationalFunction:
-    """Al-Salam-Ismail polynomial U_n(x; a, b'), specialized at a=bq, b'=-l*q^2.
+def asi_u(n: int) -> RationalFunction:
+    """Al-Salam-Ismail polynomial U_n(x; a, b'), specialized at x=1, a=bq, b'=-l*q^2.
 
     U_n(x;a,b') = sum_{k=0}^{floor(n/2)} (-a;q)_{n-k} (q;q)_{n-k}
         / ((-a;q)_k (q;q)_k (q;q)_{n-2k}) * x^(n-2k) (-b')^k q^(k(k-1)),
     which under the specialization has k-th term
     l^k q^(k^2+k) [n-k, k]_q (-bq;q)_{n-k}/(-bq;q)_k, that is the polynomial
-    l^k q^(k^2+k) [n-k, k]_q (-bq^(k+1);q)_{n-2k} times x^(n-2k).
-
-    The default x = 1 is the case satisfying asi_u(n) == g(n,1) * (-bq;q)_n;
-    other x values (exact scalars, polynomials or rational functions) are an
-    evaluation hook, not a fourth ring variable.
+    l^k q^(k^2+k) [n-k, k]_q (-bq^(k+1);q)_{n-2k}.  The sum is a polynomial,
+    returned as a RationalFunction with denominator 1, and satisfies
+    asi_u(n) == g(n,1) * (-bq;q)_n.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    x_rf = x if isinstance(x, RationalFunction) else RationalFunction(x)
-    # x^(n-2k) = x_num^(n-2k) x_den^(2k) / x_den^n puts every term over x_den^n
     num = ZERO
     for k in range(n // 2 + 1):
-        term = Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k) * poch_neg_bq(k + 1, n - 2 * k)
-        num = num + term * x_rf.num ** (n - 2 * k) * x_rf.den ** (2 * k)
-    return RationalFunction(num, x_rf.den**n)
+        num = num + Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k) * poch_neg_bq(k + 1, n - 2 * k)
+    return RationalFunction(num)

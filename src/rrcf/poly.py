@@ -107,24 +107,8 @@ class Polynomial:
         return p
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return ZERO
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return ONE
-
-    @classmethod
     def constant(cls, c: int) -> "Polynomial":
         return cls({_UNIT_MONO: c})
-
-    @classmethod
-    def variable(cls, name: str) -> "Polynomial":
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}, expected one of q, l, b")
-        exps = [0, 0, 0]
-        exps[_VAR_INDEX[name]] = 1
-        return cls({tuple(exps): 1})
 
     @classmethod
     def monomial(cls, eq: int, el: int = 0, eb: int = 0, coeff: int = 1) -> "Polynomial":
@@ -143,9 +127,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def coefficient(self, eq: int, el: int = 0, eb: int = 0) -> int:
-        return self._terms.get((eq, el, eb), 0)
 
     @property
     def constant_coeff(self) -> int:
@@ -425,22 +406,25 @@ _FILTER_POINT = (3, 2, 2)
 def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Divide out common factors (1 - q^j) and (1 + b*q^j) from num and den.
 
-    A cheap integer filter (evaluation at a fixed point) rejects most
-    non-divisors before any trial division is attempted.  The q-degree of
-    den is tracked, not recomputed: exact division by a factor of q-degree
-    j lowers it by exactly j.
+    A cheap integer filter rejects most non-divisors before any trial
+    division: a factor that divides num and den has a value at
+    ``_FILTER_POINT`` that divides both of theirs.  No candidate vanishes
+    there (|1 + 2*3^j| >= 3, |1 - 3^j| >= 2), and a zero value is divisible
+    by everything, so the test is a valid necessary condition at every
+    value and is always applied.  The q-degree of den is tracked, not
+    recomputed: exact division by a factor of q-degree j lowers it by
+    exactly j.
     """
     if len(den) <= 1 and den.constant_coeff != 0:
         return num, den
     fq, fl, fb = _FILTER_POINT
     num_val = num.eval_exact(fq, fl, fb)
     den_val = den.eval_exact(fq, fl, fb)
-    use_filter = num_val != 0 and den_val != 0
     dq = den.degree("q")
     for j, factor in _structured_factor_candidates(dq):
         f_val = abs(factor.eval_exact(fq, fl, fb))
         while dq >= j:
-            if use_filter and (num_val % f_val or den_val % f_val):
+            if num_val % f_val or den_val % f_val:
                 break
             try:
                 new_den = den.exact_div(factor)
@@ -449,10 +433,8 @@ def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
                 break
             num, den = new_num, new_den
             dq -= j
-            if use_filter:
-                num_val //= f_val
-                den_val //= f_val
-                use_filter = num_val != 0 and den_val != 0
+            num_val //= f_val
+            den_val //= f_val
             if len(den) <= 1 and den.constant_coeff != 0:
                 return num, den
     return num, den
@@ -491,14 +473,6 @@ class RationalFunction:
             den = -den
         self._num = num
         self._den = den
-
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(ZERO)
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(ONE)
 
     @property
     def num(self) -> Polynomial:

@@ -1,18 +1,20 @@
 """Exact identity suites with machine-readable pass/fail reports.
 
 Each ``check_*`` function sweeps one identity over a parameter range and
-returns a :class:`VerificationReport`.  Comparisons are exact (polynomial
-cross-multiplication, zero tolerance); a failing case records the two
-cross-product polynomials as its witness.  Failures become report entries,
-never exceptions, so a corrupted formula is always visible rather than fatal.
+returns a :class:`VerificationReport`.  Comparisons are exact: ``compare``
+decides through ``RationalFunction.__eq__`` (cross-multiplication, zero
+tolerance), and a failing case records the two cross-product polynomials as
+its witness.  Failures become report entries, never exceptions, so a
+corrupted formula is always visible rather than fatal.
 
 The suites:
 
 * ``entry16``     mu_n/nu_n against the depth-n continued fraction at b = 0
 * ``theorem1``    (1+b) g_n(0)/g_n(1) against the full continued fraction
-* ``recursion``   the one-level descent between g_n(s) ratios, its endpoint
-                  seed g_n(n) = g_n(n+1) = 1, and the fraction rebuilt by
-                  iterating the descent n times from the seed
+* ``recursion``   R_s == 1+bq^s + lq^(s+1)/R_(s+1) for the level ratios
+                  R_s = (1+bq^s) g_n(s)/g_n(s+1), each built once; the
+                  endpoint seed g_n(n) = g_n(n+1) = 1; and the fraction
+                  rebuilt by iterating the descent n times from R_n
 * ``telescoping`` g_n(s) - g_n(s+1) against both the term-by-term route and
                   the closed form with g_n(s+2)
 * ``b0``          g_n(0) -> mu_n and g_n(1) -> nu_n at b = 0
@@ -119,14 +121,10 @@ class VerificationReport:
 
 
 def compare(lhs: RationalFunction, rhs: RationalFunction) -> tuple[bool, tuple[str, str] | None]:
-    """Cross-multiplied equality plus a canonical witness pair on failure."""
-    if lhs.num == rhs.num and lhs.den == rhs.den:
+    """Equality through ``==``; on failure, the two cross products as witness."""
+    if lhs == rhs:
         return True, None
-    left = lhs.num * rhs.den
-    right = rhs.num * lhs.den
-    if left == right:
-        return True, None
-    return False, (str(left), str(right))
+    return False, (str(lhs.num * rhs.den), str(rhs.num * lhs.den))
 
 
 def _case(passed: bool, witness, **params: int) -> VerificationCase:
@@ -164,30 +162,28 @@ def check_theorem1(n_max: int = 12, g_fn=None) -> VerificationReport:
 
 
 def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
-    """The descent between consecutive g_n(s) ratios, executed end to end.
+    """The descent between consecutive level ratios, executed end to end.
 
-    Per (n, s): (1+bq^s) g_n(s)/g_n(s+1) == 1+bq^s + lq^(s+1) g_n(s+2) /
-    ((1+bq^(s+1)) g_n(s+1)).  Per n: the endpoint seed g_n(n) = g_n(n+1) = 1,
-    and the full fraction rebuilt by iterating the descent from that seed.
+    With R_s = (1+bq^s) g_n(s)/g_n(s+1) built once for s = 0..n, each
+    (n, s) case checks R_s == 1+bq^s + lq^(s+1)/R_(s+1).  Per n: the
+    endpoint seed g_n(n) = g_n(n+1) = 1, and the full fraction rebuilt by
+    iterating the descent down from R_n.
     """
     _require_range(n_max)
     g_fn = g_fn or core.g
     cases = []
     for n in range(1, n_max + 1):
+        ratios = [(ONE + B * Q**s) * g_fn(n, s) / g_fn(n, s + 1) for s in range(n + 1)]
         for s in range(0, n):
-            lhs = (ONE + B * Q**s) * g_fn(n, s) / g_fn(n, s + 1)
-            rhs = (ONE + B * Q**s) + (L * Q ** (s + 1)) * g_fn(n, s + 2) / (
-                (ONE + B * Q ** (s + 1)) * g_fn(n, s + 1)
-            )
-            cases.append(_case(*compare(lhs, rhs), n=n, s=s))
+            rhs = (ONE + B * Q**s) + (L * Q ** (s + 1)) / ratios[s + 1]
+            cases.append(_case(*compare(ratios[s], rhs), n=n, s=s))
         one = RationalFunction(ONE)
         ok_end, wit_end = compare(g_fn(n, n), one)
         if ok_end:
             ok_end, wit_end = compare(g_fn(n, n + 1), one)
         cases.append(_case(ok_end, wit_end, n=n, s=n))
-        # seed the backward recurrence with (1+bq^n) g_n(n)/g_n(n+1) and
-        # unwind n levels: this rebuilds the whole fraction from the descent
-        value = (ONE + B * Q**n) * g_fn(n, n) / g_fn(n, n + 1)
+        # unwind n levels from the seed R_n: this rebuilds the whole fraction
+        value = ratios[n]
         for s in range(n - 1, -1, -1):
             value = (ONE + B * Q**s) + (L * Q ** (s + 1)) / value
         ok_it, wit_it = compare(value, core.cf_finite_backward(core.CFSpec.standard(n)))

@@ -140,7 +140,7 @@ def test_criterion_9_fault_injection_meta_tests():
     bad_g = lambda n, s: g(n, s) * 2 if (n, s) == (2, 0) else g(n, s)
     bad_g_add = lambda n, s: g(n, s) + 1 if (n, s) == (3, 1) else g(n, s)
     bad_diff = lambda n, s: g_difference(n, s) + RationalFunction(Q) if (n, s) == (2, 1) else g_difference(n, s)
-    bad_asi = lambda n, x=1: asi_u(n, x) + L * Q if n == 2 else asi_u(n, x)
+    bad_asi = lambda n: asi_u(n) + L * Q if n == 2 else asi_u(n)
     bad_div = lambda a, b: (a / b) * RationalFunction(ONE + Q)
     ok = (
         not verify.check_entry16(3, mu_fn=bad_mu).all_passed

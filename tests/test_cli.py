@@ -1,5 +1,6 @@
 """CLI surface: rendering, exit codes, formats, byte stability."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -262,6 +263,29 @@ def test_text_output_byte_stable(capsys):
         run_cli(capsys, "eval", "--q", "0.3", "--lambda", "-0.5", "--b", "2", "--n-max", "12")[1],
     ]
     assert evals[0] == evals[1]
+
+
+# sha256 of the exit code and output of every command in _golden_commands:
+# it pins the printed normal forms and verify reports byte for byte
+GOLDEN_DIGEST = "e89363333cceee75a310da9f3c62586ca30f4c4f487a63d88666756ce8dccd03"
+
+
+def _golden_commands():
+    for n in range(1, 9):
+        yield ("convergent", "--n", str(n), "--format", "json")
+        for s in range(n + 2):
+            yield ("series", "--which", "g", "--n", str(n), "--s", str(s))
+        for which in ("mu", "nu", "asi"):
+            yield ("series", "--which", which, "--n", str(n))
+    yield ("verify", "--suite", "all", "--n-max", "6", "--format", "json")
+
+
+def test_outputs_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in _golden_commands():
+        code, out, _ = run_cli(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 def test_missing_subcommand_is_usage_error(capsys):

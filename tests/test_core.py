@@ -20,7 +20,7 @@ from rrcf.core import (
     mu,
     nu,
 )
-from rrcf.poly import B, L, ONE, Polynomial, Q, RationalFunction
+from rrcf.poly import B, L, ONE, ZERO, Polynomial, Q, RationalFunction
 from rrcf.qpoch import poch_neg_bq
 
 RF_ONE = RationalFunction(ONE)
@@ -114,7 +114,7 @@ def _b_factors(lo, hi):
 
 
 def _oracle_g(n, s):
-    total = RationalFunction.zero()
+    total = RationalFunction(ZERO)
     for k in range((n - s + 1) // 2 + 1):
         total = total + RationalFunction(
             Polynomial.monomial(k * k + s * k, k) * _q_factors(n - 2 * k - s + 2, n - k - s + 1),
@@ -124,7 +124,7 @@ def _oracle_g(n, s):
 
 
 def _oracle_g_difference(n, s):
-    total = RationalFunction.zero()
+    total = RationalFunction(ZERO)
     for k in range(1, (n - s + 1) // 2 + 1):
         total = total + RationalFunction(
             Polynomial.monomial(k * k + s * k, k) * _q_factors(n - 2 * k - s + 2, n - k - s),
@@ -134,7 +134,7 @@ def _oracle_g_difference(n, s):
 
 
 def _oracle_asi_u(n):
-    total = RationalFunction.zero()
+    total = RationalFunction(ZERO)
     for k in range(n // 2 + 1):
         total = total + RationalFunction(
             Polynomial.monomial(k * k + k, k) * _q_factors(n - 2 * k + 1, n - k) * _b_factors(1, n - k),
@@ -327,23 +327,6 @@ def test_asi_relation():
 def test_asi_rejects_negative_n():
     with pytest.raises(ValueError):
         asi_u(-1)
-
-
-def test_asi_x_hook_polynomial_one_matches_default():
-    for n in range(0, 6):
-        assert asi_u(n, ONE) == asi_u(n)
-        assert asi_u(n, 1) == asi_u(n)
-
-
-def test_asi_x_hook_at_zero():
-    # x = 0 keeps only the n = 2k term: l^m q^(m^2+m) for n = 2m, zero for odd n
-    for n in range(0, 9):
-        value = asi_u(n, 0)
-        if n % 2:
-            assert value.is_zero
-        else:
-            m = n // 2
-            assert value == RationalFunction(Polynomial.monomial(m * m + m, m))
 
 
 # -- memo tables -----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrcf.core import g
 from rrcf.poly import (
     B,
     DivisionByZero,
@@ -232,6 +233,26 @@ def test_rf_structured_cancellation_reduces():
     rf = RationalFunction((ONE + L) * f, (ONE + 2 * L) * f)
     assert rf.num == ONE + L
     assert rf.den == ONE + 2 * L
+
+
+def test_cancel_filter_holds_when_numerator_vanishes_at_filter_point(monkeypatch):
+    # L - 2 makes the numerator vanish at the filter point (3, 2, 2); the
+    # denominator's value must still screen out the non-factors
+    x = g(12, 1)
+    calls = []
+    exact_div = Polynomial.exact_div
+
+    def counting_exact_div(self, divisor):
+        calls.append(divisor)
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(Polynomial, "exact_div", counting_exact_div)
+    rf = RationalFunction(x.num * (L - 2), x.den)
+    monkeypatch.undo()
+    assert (rf.num, rf.den) == (x.num * (L - 2), x.den)
+    # the denominator is a product of distinct factors 1 + b*q^j, one b each
+    assert x.den.degree("b") == 12
+    assert len(calls) <= 2 * x.den.degree("b")
 
 
 def test_rf_content_and_sign_normalization():

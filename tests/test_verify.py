@@ -99,10 +99,23 @@ def test_theorem1_detects_perturbed_g():
     assert [c.params for c in failing_cases(report)] == [(("n", 2),)]
 
 
-def test_recursion_detects_perturbed_g():
-    bad_g = lambda n, s: g(n, s) + 1 if (n, s) == (3, 1) else g(n, s)
-    report = check_recursion(4, g_fn=bad_g)
-    assert not report.all_passed
+@pytest.mark.parametrize(
+    "target, fault, expected",
+    [
+        ((4, 2), lambda v: v + 1, [(4, 0), (4, 1), (4, 2)]),
+        ((3, 1), lambda v: v + 1, [(3, 0), (3, 1)]),
+        ((4, 4), lambda v: 2 * v, [(4, 2), (4, 3), (4, 4), (4, 5)]),
+    ],
+    ids=["g42_plus_1", "g31_plus_1", "g44_times_2"],
+)
+def test_recursion_detects_perturbed_g(target, fault, expected):
+    # a wrong g_n(s) spoils R_(s-1) and R_s, so exactly the levels that read
+    # either fail; a wrong g_n(n) also fails the seed and the rebuild from R_n
+    bad_g = lambda n, s: fault(g(n, s)) if (n, s) == target else g(n, s)
+    report = check_recursion(6, g_fn=bad_g)
+    bad = failing_cases(report)
+    assert [tuple(v for _, v in c.params) for c in bad] == expected
+    assert all(c.witness is not None and c.witness[0] != c.witness[1] for c in bad)
 
 
 def test_telescoping_detects_perturbed_difference():
@@ -118,7 +131,7 @@ def test_b0_detects_perturbed_g():
 
 
 def test_asi_detects_perturbed_u():
-    bad_asi = lambda n, x=1: asi_u(n, x) + L * Q if n == 2 else asi_u(n, x)
+    bad_asi = lambda n: asi_u(n) + L * Q if n == 2 else asi_u(n)
     report = check_asi(4, asi_fn=bad_asi)
     assert [c.params for c in failing_cases(report)] == [(("n", 2),)]
 
