@@ -8,7 +8,8 @@ Subcommands:
 * ``eval``        numeric convergence table at a point (q, lambda, b)
 
 Exit codes are stable for CI use: 0 success / all cases pass, 1 at least one
-verification failure, 2 usage error.  Text output is deterministic for fixed
+verification failure, 2 usage error (an ``--out`` path that cannot be
+written included).  Text output is deterministic for fixed
 arguments; ``--format json`` (and ``csv`` for eval) emit the documented
 machine formats, optionally to ``--out`` instead of stdout.
 """
@@ -66,11 +67,17 @@ def _output_flags(p: argparse.ArgumentParser, csv: bool = False) -> None:
     p.add_argument("--out", type=Path, default=None, help="write output to a file instead of stdout")
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(text: str, out: Path | None) -> bool:
+    """Print text, or write it to ``out``; False, after an error line, if the write fails."""
     if out is None:
         print(text)
-    else:
+        return True
+    try:
         out.write_text(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _render_rf(rf: RationalFunction, fmt: str) -> str:
@@ -83,8 +90,7 @@ def _cmd_convergent(args: argparse.Namespace) -> int:
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return USAGE_ERROR
-    _emit(_render_rf(core.convergent(args.n), args.format), args.out)
-    return 0
+    return 0 if _emit(_render_rf(core.convergent(args.n), args.format), args.out) else USAGE_ERROR
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -107,8 +113,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _emit(_render_rf(obj, args.format), args.out)
-    return 0
+    return 0 if _emit(_render_rf(obj, args.format), args.out) else USAGE_ERROR
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -123,7 +128,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         text = json.dumps(payload, indent=2)
     else:
         text = "\n".join(r.render_text() for r in reports)
-    _emit(text, args.out)
+    if not _emit(text, args.out):
+        return USAGE_ERROR
     return 0 if all(r.all_passed for r in reports) else 1
 
 
@@ -158,8 +164,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         text = report.to_csv().rstrip("\n")
     else:
         text = _render_eval_text(report)
-    _emit(text, args.out)
-    return 0
+    return 0 if _emit(text, args.out) else USAGE_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:

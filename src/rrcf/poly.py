@@ -12,20 +12,46 @@ Rational functions are quotients of two polynomials, kept in a normal form:
 * the denominator's coefficient at its lexicographically smallest monomial
   (ordering q, then l, then b) is positive;
 * common factors from the structured set ``{1 - q^j, 1 + b*q^j}`` are
-  cancelled by trial exact division.
+  cancelled.
 
 No general multivariate gcd is performed: every denominator built by this
 library is a product of structured factors, and equality is decided by
 cross-multiplication, so correctness never depends on how far a quotient
 was reduced.
 
+Internally a rational function is ``res_num * prod f_j^e / res_den`` over
+the factors ``f_j = 1 + b*q^j``: a signed exponent map ``{j: e}`` and one
+residual polynomial per side.  Callers that know their denominators (the
+g sums of :mod:`rrcf.core`) hand their factors over as exponents, and an
+operand that is exactly some f_j becomes ``{j: 1}``.  Normalisation then
+takes three steps:
+
+1. the exponents of each f_j on the two sides are summed, so known factors
+   cancel by counting;
+2. each remaining known factor is tested against the other side's residual
+   (f_j divides P exactly when P vanishes at b = -q^-j, one pass over P's
+   terms) and divided out where it divides;
+3. the residuals go through trial division by the structured factors
+   (``_cancel_structured``), which returns at once when the residual
+   denominator is a constant.
+
+The f_j are irreducible, pairwise coprime and coprime to every 1 - q^k, so
+the expanded ``num`` and ``den`` are the same polynomials that trial
+division of the fully expanded products gives.  A polynomial input is the
+case of an empty map, which takes the same path.  ``num`` and ``den`` are
+expanded on first use and cached on the value.  Equality compares the
+internal forms, then the expanded ``num`` and ``den``, and cross-multiplies
+only when both differ.
+
 ``Fraction`` enters only as a ``RationalFunction`` scalar, as a constructor
 argument or an arithmetic operand; it is split there into an integer
 numerator and denominator, so no polynomial ever holds a rational
 coefficient.
 
-All values are immutable after construction and all operations are pure, so
-everything here is safe to use from multiple threads.
+All values are immutable after construction (the cached expansion of a
+rational function is a pure function of its fields, so a race can only
+compute it twice) and all operations are pure, so everything here is safe
+to use from multiple threads.
 """
 
 from __future__ import annotations
@@ -50,7 +76,14 @@ __all__ = [
 
 
 class NotDivisible(ArithmeticError):
-    """Exact polynomial division was requested but leaves a remainder."""
+    """Exact polynomial division was requested but leaves a remainder.
+
+    Raised with (dividend, divisor); the message is rendered only when
+    shown, since trial divisions that fail are caught and discarded.
+    """
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} is not divisible by {self.args[1]}"
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -265,10 +298,10 @@ class Polynomial:
                 continue
             mq, ml, mb = rkey[0] - dq, rkey[1] - dl, rkey[2] - db
             if mq < 0 or ml < 0 or mb < 0:
-                raise NotDivisible(f"{self} is not divisible by {divisor}")
+                raise NotDivisible(self, divisor)
             c, r = divmod(rem.pop(rkey), dc)
             if r:
-                raise NotDivisible(f"{self} is not divisible by {divisor}")
+                raise NotDivisible(self, divisor)
             out[(mq, ml, mb)] = c
             for (tq, tl, tb), tc in rest:
                 key = (tq + mq, tl + ml, tb + mb)
@@ -389,18 +422,78 @@ def _normalize_content(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     )
 
 
-def _structured_factor_candidates(max_j: int) -> Iterator[tuple[int, Polynomial]]:
-    # (j, factor) with factor of q-degree j: 1 + b*q^j for j >= 0, then
-    # 1 - q^j for j >= 1.  Descending j within a family, so that e.g. a
-    # common (1-q^2) is taken out whole instead of losing its (1-q) part and
-    # stranding the (1+q) cofactor.
-    for j in range(max_j, -1, -1):
-        yield j, Polynomial._raw({_UNIT_MONO: 1, (j, 0, 1): 1})
-    for j in range(max_j, 0, -1):
-        yield j, Polynomial._raw({_UNIT_MONO: 1, (j, 0, 0): -1})
+# -- the known factors f_j = 1 + b*q^j ----------------------------------------
 
+
+def _factor(j: int) -> Polynomial:
+    """f_j = 1 + b*q^j."""
+    return Polynomial._raw({_UNIT_MONO: 1, (j, 0, 1): 1})
+
+
+def _factor_index(p: Polynomial) -> int | None:
+    """j if p is exactly f_j = 1 + b*q^j, else None."""
+    t = p._terms
+    if len(t) != 2 or t.get(_UNIT_MONO) != 1:
+        return None
+    for (eq, el, eb), c in t.items():
+        if (el, eb, c) == (0, 1, 1):
+            return eq
+    return None
+
+
+def _factor_divides(j: int, p: Polynomial) -> bool:
+    """Whether f_j divides p, decided in one pass over p's terms.
+
+    f_j is linear in b and primitive over Z[q, l], so by Gauss's lemma it
+    divides p exactly when p vanishes at b = -q^-j, a Laurent polynomial in
+    q and l whose coefficients are collected here.
+    """
+    acc: dict[tuple, int] = {}
+    for (eq, el, eb), c in p._terms.items():
+        key = (eq - j * eb, el)
+        acc[key] = acc.get(key, 0) + (-c if eb & 1 else c)
+    return not any(acc.values())
+
+
+def _factor_product(exps: Mapping[int, int]) -> Polynomial:
+    """prod f_j^e over exponents e > 0, one (-bq^m;q)_k per run of consecutive j."""
+    from .qpoch import poch_neg_bq  # qpoch imports this module
+
+    out = ONE
+    layer = dict(exps)
+    while layer:
+        js = sorted(layer)
+        start = 0
+        for i in range(1, len(js) + 1):
+            if i == len(js) or js[i] != js[i - 1] + 1:
+                out = out * poch_neg_bq(js[start], i - start)
+                start = i
+        layer = {j: e - 1 for j, e in layer.items() if e > 1}
+    return out
+
+
+def _times_factors(p: Polynomial, exps: Mapping[int, int]) -> Polynomial:
+    """p * prod f_j^e over the exponents e > 0 of a signed map."""
+    pos = {j: e for j, e in exps.items() if e > 0}
+    return p * _factor_product(pos) if pos else p
+
+
+# -- normal form ---------------------------------------------------------------
 
 _FILTER_POINT = (3, 2, 2)
+
+
+def _structured_factor_candidates(max_j: int) -> Iterator[tuple[int, Polynomial, int]]:
+    # (j, factor, |factor at _FILTER_POINT|) with factor of q-degree j:
+    # 1 + b*q^j for j >= 0, then 1 - q^j for j >= 1.  Descending j within a
+    # family, so that e.g. a common (1-q^2) is taken out whole instead of
+    # losing its (1-q) part and stranding the (1+q) cofactor.  The value is
+    # read off j (1 + 2*3^j and 3^j - 1), not evaluated.
+    fq, _, fb = _FILTER_POINT
+    for j in range(max_j, -1, -1):
+        yield j, _factor(j), 1 + fb * fq**j
+    for j in range(max_j, 0, -1):
+        yield j, Polynomial._raw({_UNIT_MONO: 1, (j, 0, 0): -1}), fq**j - 1
 
 
 def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -417,12 +510,10 @@ def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     """
     if len(den) <= 1 and den.constant_coeff != 0:
         return num, den
-    fq, fl, fb = _FILTER_POINT
-    num_val = num.eval_exact(fq, fl, fb)
-    den_val = den.eval_exact(fq, fl, fb)
+    num_val = num.eval_exact(*_FILTER_POINT)
+    den_val = den.eval_exact(*_FILTER_POINT)
     dq = den.degree("q")
-    for j, factor in _structured_factor_candidates(dq):
-        f_val = abs(factor.eval_exact(fq, fl, fb))
+    for j, factor, f_val in _structured_factor_candidates(dq):
         while dq >= j:
             if num_val % f_val or den_val % f_val:
                 break
@@ -440,14 +531,76 @@ def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     return num, den
 
 
+def _normal_form(
+    num: Polynomial, den: Polynomial, exps: Mapping[int, int]
+) -> tuple[Polynomial, Polynomial, dict[int, int]]:
+    """Normal form of num * prod f_j^e / den, as (residual num, residual den, exponents).
+
+    The caller has already summed the exponents of each f_j into one signed
+    e, so known factors on the two sides have cancelled (step 1).  Step 2
+    tests each remaining known factor against the other side's residual and
+    divides it out where it divides.  Step 3 is ``_cancel_structured`` on
+    the residual pair, which returns at once when the residual denominator
+    is a constant.  Then the sign rule.
+
+    Expanded, the result is the normal form of the expanded input: the f_j
+    are irreducible, pairwise coprime and coprime to every 1 - q^k, so
+    moving them out of the residuals changes neither which structured
+    factors are common nor the joint content (each f_j has content 1).
+    """
+    if den.is_zero:
+        raise DivisionByZero("rational function with zero denominator")
+    if num.is_zero:
+        return ZERO, ONE, {}
+    num, den = _normalize_content(num, den)
+    # step 2, screened by the value test of _cancel_structured: res[i] is
+    # the residual a factor is tested against, den for a numerator factor
+    res = [num, den]
+    vals: list[int | None] = [None, None]
+    fq, _, fb = _FILTER_POINT
+    kept = {}
+    for j, e in exps.items():
+        i = 1 if e > 0 else 0
+        f_val = 1 + fb * fq**j
+        while e:
+            if vals[i] is None:
+                vals[i] = res[i].eval_exact(*_FILTER_POINT)
+            if vals[i] % f_val or not _factor_divides(j, res[i]):
+                break
+            res[i] = res[i].exact_div(_factor(j))
+            vals[i] //= f_val
+            e += -1 if i else 1
+        if e:
+            kept[j] = e
+    num, den = res
+    # the structured factors have content 1, so by Gauss's lemma
+    # cancelling them leaves the joint content at 1
+    num, den = _cancel_structured(num, den)
+    if den.trailing()[1] < 0:
+        num, den = -num, -den
+    return num, den, kept
+
+
 class RationalFunction:
     """Quotient of two polynomials, normalized but not fully reduced.
 
-    Equality is decided by cross-multiplication, so two representations of
-    the same function compare equal regardless of remaining common factors.
+    Internally a value is ``res_num * prod f_j^e / res_den`` with
+    f_j = 1 + b*q^j: a signed exponent map ``{j: e}`` and one residual
+    polynomial on each side.  Factors a caller knows (the ``_factored``
+    constructor, or an operand that is exactly some f_j) stay in the map, so
+    products, quotients and sums of such values cancel them by exponent
+    arithmetic; everything else lives in the residuals.  The public ``num``
+    and ``den`` multiply the map's factors back in on first use and are
+    cached; they are exactly the normal form of the expanded inputs, so no
+    output depends on how a value was split.
+
+    Equality first compares the two internal forms, then the expanded
+    ``num`` and ``den``, and cross-multiplies only when both differ, so two
+    representations of the same function compare equal regardless of
+    remaining common factors.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_rnum", "_rden", "_exps", "_num", "_den")
 
     def __init__(self, num: Polynomial | int | Fraction, den: Polynomial | int | Fraction = ONE):
         # the one place a Fraction is accepted: split it into integers
@@ -459,32 +612,45 @@ class RationalFunction:
             num = Polynomial.constant(num)
         if not isinstance(den, Polynomial):
             den = Polynomial.constant(den)
-        if den.is_zero:
-            raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero:
-            self._num = ZERO
-            self._den = ONE
-            return
-        # the structured factors have content 1, so by Gauss's lemma
-        # cancelling them leaves the joint content at 1
-        num, den = _cancel_structured(*_normalize_content(num, den))
-        if den.trailing()[1] < 0:
-            num = -num
-            den = -den
-        self._num = num
-        self._den = den
+        exps: dict[int, int] = {}
+        j = _factor_index(num)
+        if j is not None:
+            num, exps[j] = ONE, 1
+        j = _factor_index(den)
+        if j is not None:
+            den, exps[j] = ONE, exps.get(j, 0) - 1
+        self._rnum, self._rden, self._exps = _normal_form(num, den, exps)
+        self._num = self._den = None
+
+    @classmethod
+    def _from_normal(cls, num: Polynomial, den: Polynomial, exps: dict[int, int]) -> "RationalFunction":
+        rf = object.__new__(cls)
+        rf._rnum, rf._rden, rf._exps = num, den, exps
+        rf._num = rf._den = None
+        return rf
+
+    @classmethod
+    def _factored(
+        cls, num: Polynomial, exps: Mapping[int, int], den: Polynomial = ONE
+    ) -> "RationalFunction":
+        """num * prod f_j^e / den with f_j = 1 + b*q^j, for callers that know their factors."""
+        return cls._from_normal(*_normal_form(num, den, exps))
 
     @property
     def num(self) -> Polynomial:
+        if self._num is None:
+            self._num = _times_factors(self._rnum, self._exps)
         return self._num
 
     @property
     def den(self) -> Polynomial:
+        if self._den is None:
+            self._den = _times_factors(self._rden, self._den_exps())
         return self._den
 
     @property
     def is_zero(self) -> bool:
-        return self._num.is_zero
+        return self._rnum.is_zero
 
     # -- field operations ---------------------------------------------------
 
@@ -496,18 +662,52 @@ class RationalFunction:
             return RationalFunction(value)
         return None
 
+    def _times_exps(self, other: "RationalFunction", sign: int) -> dict[int, int]:
+        # exponents of self * other**sign
+        exps = dict(self._exps)
+        for j, e in other._exps.items():
+            exps[j] = exps.get(j, 0) + sign * e
+        return exps
+
+    def _den_exps(self) -> dict[int, int]:
+        return {j: -e for j, e in self._exps.items() if e < 0}
+
+    def _den_degrees(self) -> tuple[int, int]:
+        # (b-degree, q-degree) of den, without expanding it
+        exps = self._den_exps()
+        return (
+            self._rden.degree("b") + sum(exps.values()),
+            self._rden.degree("q") + sum(j * e for j, e in exps.items()),
+        )
+
     def __add__(self, other) -> "RationalFunction":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._den == o._den:
-            return RationalFunction(self._num + o._num, self._den)
-        return RationalFunction(self._num * o._den + o._num * self._den, self._den * o._den)
+        same_split = self._den_exps() == o._den_exps()
+        if not same_split and self._den_degrees() == o._den_degrees() and self.den == o.den:
+            # equal denominators split differently: a residual hides a known factor
+            return RationalFunction(self.num + o.num, self.den)
+        # take min(e_self, e_other) of each f_j out of both terms: each
+        # numerator is multiplied only by the factors the other term lacks
+        common: dict[int, int] = {}
+        own_a: dict[int, int] = {}
+        own_b: dict[int, int] = {}
+        for j in self._exps.keys() | o._exps.keys():
+            ea, eb = self._exps.get(j, 0), o._exps.get(j, 0)
+            common[j] = m = min(ea, eb)
+            own_a[j], own_b[j] = ea - m, eb - m
+        num_a = _times_factors(self._rnum, own_a)
+        num_b = _times_factors(o._rnum, own_b)
+        if same_split and self._rden == o._rden:
+            return RationalFunction._factored(num_a + num_b, common, self._rden)
+        return RationalFunction._factored(num_a * o._rden + num_b * self._rden, common, self._rden * o._rden)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self._num, self._den)
+        # negating the numerator keeps a normal form normal
+        return RationalFunction._from_normal(-self._rnum, self._rden, self._exps)
 
     def __sub__(self, other) -> "RationalFunction":
         o = self._coerce(other)
@@ -525,7 +725,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self._num * o._num, self._den * o._den)
+        return RationalFunction._factored(self._rnum * o._rnum, self._times_exps(o, 1), self._rden * o._rden)
 
     __rmul__ = __mul__
 
@@ -535,7 +735,7 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("division by zero rational function")
-        return RationalFunction(self._num * o._den, self._den * o._num)
+        return RationalFunction._factored(self._rnum * o._rden, self._times_exps(o, -1), self._rden * o._rnum)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         o = self._coerce(other)
@@ -547,16 +747,20 @@ class RationalFunction:
         if n < 0:
             if self.is_zero:
                 raise DivisionByZero("negative power of zero")
-            return RationalFunction(self._den, self._num) ** (-n)
-        return RationalFunction(self._num**n, self._den**n)
+            return RationalFunction._factored(self._rden, {j: -e for j, e in self._exps.items()}, self._rnum) ** (-n)
+        return RationalFunction._factored(
+            self._rnum**n, {j: n * e for j, e in self._exps.items()}, self._rden**n
+        )
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._num == o._num and self._den == o._den:
+        if self._exps == o._exps and self._rnum == o._rnum and self._rden == o._rden:
             return True
-        return self._num * o._den == o._num * self._den
+        if self.num == o.num and self.den == o.den:
+            return True
+        return self.num * o.den == o.num * self.den
 
     # canonical form is not unique, so no hash can agree with __eq__
     __hash__ = None
@@ -564,24 +768,24 @@ class RationalFunction:
     # -- evaluation, substitution, rendering ---------------------------------
 
     def eval_numeric(self, q: float, lam: float, b: float) -> float:
-        return self._num.eval_numeric(q, lam, b) / self._den.eval_numeric(q, lam, b)
+        return self.num.eval_numeric(q, lam, b) / self.den.eval_numeric(q, lam, b)
 
     def substitute(self, var: str, value: int) -> "RationalFunction":
-        den = self._den.substitute(var, value)
+        den = self.den.substitute(var, value)
         if den.is_zero:
             raise DivisionByZero(f"denominator vanishes at {var}={value}")
-        return RationalFunction(self._num.substitute(var, value), den)
+        return RationalFunction(self.num.substitute(var, value), den)
 
     def __str__(self) -> str:
-        if self._den == ONE:
-            return str(self._num)
-        return f"({self._num})/({self._den})"
+        if self.den == ONE:
+            return str(self.num)
+        return f"({self.num})/({self.den})"
 
     def __repr__(self) -> str:
         return f"RationalFunction('{self}')"
 
     def to_json(self) -> dict:
-        return {"num": self._num.to_terms_json(), "den": self._den.to_terms_json()}
+        return {"num": self.num.to_terms_json(), "den": self.den.to_terms_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalFunction":

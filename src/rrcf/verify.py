@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from . import core
 from .poly import B, L, ONE, Polynomial, Q, RationalFunction
-from .qpoch import poch_neg_bq
 
 __all__ = [
     "InvalidRange",
@@ -202,9 +201,7 @@ def check_telescoping(n_max: int = 10, g_fn=None, diff_fn=None) -> VerificationR
             direct = g_fn(n, s) - g_fn(n, s + 1)
             ok, wit = compare(direct, diff_fn(n, s))
             if ok:
-                closed = RationalFunction(
-                    L * Q ** (s + 1), (ONE + B * Q**s) * (ONE + B * Q ** (s + 1))
-                ) * g_fn(n, s + 2)
+                closed = RationalFunction._factored(L * Q ** (s + 1), {s: -1, s + 1: -1}) * g_fn(n, s + 2)
                 ok, wit = compare(direct, closed)
             cases.append(_case(ok, wit, n=n, s=s))
     return VerificationReport(suite="telescoping", cases=tuple(cases))
@@ -232,7 +229,7 @@ def check_asi(n_max: int = 10, asi_fn=None, g_fn=None) -> VerificationReport:
     ok0, wit0 = compare(asi_fn(0), RationalFunction(ONE))
     cases.append(_case(ok0, wit0, n=0))
     for n in range(1, n_max + 1):
-        rhs = g_fn(n, 1) * poch_neg_bq(1, n)
+        rhs = g_fn(n, 1) * RationalFunction._factored(ONE, {j: 1 for j in range(1, n + 1)})
         cases.append(_case(*compare(asi_fn(n), rhs), n=n))
     return VerificationReport(suite="asi", cases=tuple(cases))
 

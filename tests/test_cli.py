@@ -252,6 +252,22 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert report.all_passed
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("convergent", "--n", "2"), ("verify", "--suite", "theorem1", "--n-max", "2")],
+    ids=["convergent", "verify"],
+)
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_out_write_failure_is_usage_error(capsys, tmp_path, argv, target):
+    # exit 1 means a failed verification, so an unwritable --out is exit 2
+    out = tmp_path / "no" / "such" / "x" if target == "missing_dir" else tmp_path
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write ") and str(out) in err
+    assert "Traceback" not in err
+
+
 def test_text_output_byte_stable(capsys):
     runs = [
         run_cli(capsys, "convergent", "--n", "3")[1],

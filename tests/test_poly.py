@@ -18,6 +18,9 @@ from rrcf.poly import (
     Q,
     RationalFunction,
     ZERO,
+    _FILTER_POINT,
+    _factor_divides,
+    _structured_factor_candidates,
 )
 
 monomials = st.tuples(
@@ -253,6 +256,39 @@ def test_cancel_filter_holds_when_numerator_vanishes_at_filter_point(monkeypatch
     # the denominator is a product of distinct factors 1 + b*q^j, one b each
     assert x.den.degree("b") == 12
     assert len(calls) <= 2 * x.den.degree("b")
+
+
+def test_candidate_values_are_read_off_j():
+    # the filter value of each candidate, in the unchanged candidate order
+    got = list(_structured_factor_candidates(6))
+    assert [(j, factor) for j, factor, _ in got] == [(j, ONE + B * Q**j) for j in range(6, -1, -1)] + [
+        (j, ONE - Q**j) for j in range(6, 0, -1)
+    ]
+    for _, factor, value in got:
+        assert value == abs(factor.eval_exact(*_FILTER_POINT))
+
+
+@given(p=nonzero_polynomials, j=st.integers(0, 5))
+@settings(max_examples=150)
+def test_factor_divides_is_exact(p, j):
+    f = ONE + B * Q**j
+    assert _factor_divides(j, p * f)
+    try:
+        p.exact_div(f)
+        divides = True
+    except NotDivisible:
+        divides = False
+    assert _factor_divides(j, p) == divides
+
+
+def test_known_factor_operand_becomes_an_exponent():
+    for j in range(4):
+        rf = RationalFunction(ONE + B * Q**j)
+        assert (rf._exps, rf._rnum, rf._rden) == ({j: 1}, ONE, ONE)
+        assert rf.num == ONE + B * Q**j and rf.den == ONE
+    # a known factor cancels by counting, leaving nothing to trial-divide
+    x = g(6, 1)
+    assert ((ONE + B * Q) * x / (ONE + B * Q))._exps == x._exps
 
 
 def test_rf_content_and_sign_normalization():
