@@ -88,15 +88,6 @@ def nu(n: int) -> Polynomial:
     )
 
 
-def _inverse_factors(*runs: tuple[int, int]) -> dict[int, int]:
-    # exponents over f_j = 1 + b*q^j of 1 / prod (-bq^m;q)_k over the runs (m, k)
-    exps: dict[int, int] = {}
-    for m, k in runs:
-        for j in range(m, m + k):
-            exps[j] = exps.get(j, 0) - 1
-    return exps
-
-
 # g_n(s) for n <= 20 and 0 <= s <= n+1 is 250 entries.
 _G_CACHE_SIZE = 512
 
@@ -111,7 +102,7 @@ def _g_cached(n: int, s: int) -> RationalFunction:
     for k in range(top + 1):
         cofactor = poch_neg_bq(s + k, top - k) * poch_neg_bq(n - top + 1, top - k)
         num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s + 1, k) * cofactor
-    return RationalFunction._factored(num, _inverse_factors((s, top), (n - top + 1, top)))
+    return RationalFunction._factored(num, den_runs=((s, top), (n - top + 1, top)))
 
 
 def g(n: int, s: int) -> RationalFunction:
@@ -153,7 +144,7 @@ def g_difference(n: int, s: int) -> RationalFunction:
     for k in range(1, top + 1):
         cofactor = poch_neg_bq(s + k + 1, top - k) * poch_neg_bq(n - top + 2, top - k)
         num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s, k - 1) * cofactor
-    return RationalFunction._factored(num, _inverse_factors((s, top + 1), (n - top + 2, top - 1)))
+    return RationalFunction._factored(num, den_runs=((s, top + 1), (n - top + 2, top - 1)))
 
 
 @dataclass(frozen=True)

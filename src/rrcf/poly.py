@@ -22,8 +22,8 @@ was reduced.
 Internally a rational function is ``res_num * prod f_j^e / res_den`` over
 the factors ``f_j = 1 + b*q^j``: a signed exponent map ``{j: e}`` and one
 residual polynomial per side.  Callers that know their denominators (the
-g sums of :mod:`rrcf.core`) hand their factors over as exponents, and an
-operand that is exactly some f_j becomes ``{j: 1}``.  Normalisation then
+g sums of :mod:`rrcf.core`) hand their factors over as runs (m, k) of
+(-bq^m;q)_k, and an operand that is exactly some f_j becomes ``{j: 1}``.  Normalisation then
 takes three steps:
 
 1. the exponents of each f_j on the two sides are summed, so known factors
@@ -455,32 +455,35 @@ def _factor_divides(j: int, p: Polynomial) -> bool:
     return not any(acc.values())
 
 
-def _factor_product(exps: Mapping[int, int]) -> Polynomial:
-    """prod f_j^e over exponents e > 0, one (-bq^m;q)_k per run of consecutive j."""
+def _times_factors(p: Polynomial, exps: Mapping[int, int]) -> Polynomial:
+    """p * prod f_j^e over the exponents e > 0 of a signed map.
+
+    Each layer of the map is a set of j; every run of consecutive j in it
+    is one (-bq^m;q)_k from the qpoch product table.
+    """
     from .qpoch import poch_neg_bq  # qpoch imports this module
 
-    out = ONE
-    layer = dict(exps)
+    layer = {j: e for j, e in exps.items() if e > 0}
     while layer:
         js = sorted(layer)
         start = 0
         for i in range(1, len(js) + 1):
             if i == len(js) or js[i] != js[i - 1] + 1:
-                out = out * poch_neg_bq(js[start], i - start)
+                p = p * poch_neg_bq(js[start], i - start)
                 start = i
         layer = {j: e - 1 for j, e in layer.items() if e > 1}
-    return out
-
-
-def _times_factors(p: Polynomial, exps: Mapping[int, int]) -> Polynomial:
-    """p * prod f_j^e over the exponents e > 0 of a signed map."""
-    pos = {j: e for j, e in exps.items() if e > 0}
-    return p * _factor_product(pos) if pos else p
+    return p
 
 
 # -- normal form ---------------------------------------------------------------
 
 _FILTER_POINT = (3, 2, 2)
+
+
+def _factor_value(j: int) -> int:
+    """f_j at ``_FILTER_POINT``, read off j: 1 + 2*3^j."""
+    fq, _, fb = _FILTER_POINT
+    return 1 + fb * fq**j
 
 
 def _structured_factor_candidates(max_j: int) -> Iterator[tuple[int, Polynomial, int]]:
@@ -489,14 +492,16 @@ def _structured_factor_candidates(max_j: int) -> Iterator[tuple[int, Polynomial,
     # family, so that e.g. a common (1-q^2) is taken out whole instead of
     # losing its (1-q) part and stranding the (1+q) cofactor.  The value is
     # read off j (1 + 2*3^j and 3^j - 1), not evaluated.
-    fq, _, fb = _FILTER_POINT
     for j in range(max_j, -1, -1):
-        yield j, _factor(j), 1 + fb * fq**j
+        yield j, _factor(j), _factor_value(j)
+    fq = _FILTER_POINT[0]
     for j in range(max_j, 0, -1):
         yield j, Polynomial._raw({_UNIT_MONO: 1, (j, 0, 0): -1}), fq**j - 1
 
 
-def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+def _cancel_structured(
+    num: Polynomial, den: Polynomial, num_val: int | None = None, den_val: int | None = None
+) -> tuple[Polynomial, Polynomial]:
     """Divide out common factors (1 - q^j) and (1 + b*q^j) from num and den.
 
     A cheap integer filter rejects most non-divisors before any trial
@@ -506,12 +511,15 @@ def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     by everything, so the test is a valid necessary condition at every
     value and is always applied.  The q-degree of den is tracked, not
     recomputed: exact division by a factor of q-degree j lowers it by
-    exactly j.
+    exactly j.  A caller that already holds num's or den's value at
+    ``_FILTER_POINT`` passes it in.
     """
     if len(den) <= 1 and den.constant_coeff != 0:
         return num, den
-    num_val = num.eval_exact(*_FILTER_POINT)
-    den_val = den.eval_exact(*_FILTER_POINT)
+    if num_val is None:
+        num_val = num.eval_exact(*_FILTER_POINT)
+    if den_val is None:
+        den_val = den.eval_exact(*_FILTER_POINT)
     dq = den.degree("q")
     for j, factor, f_val in _structured_factor_candidates(dq):
         while dq >= j:
@@ -557,11 +565,10 @@ def _normal_form(
     # the residual a factor is tested against, den for a numerator factor
     res = [num, den]
     vals: list[int | None] = [None, None]
-    fq, _, fb = _FILTER_POINT
     kept = {}
     for j, e in exps.items():
         i = 1 if e > 0 else 0
-        f_val = 1 + fb * fq**j
+        f_val = _factor_value(j)
         while e:
             if vals[i] is None:
                 vals[i] = res[i].eval_exact(*_FILTER_POINT)
@@ -572,10 +579,9 @@ def _normal_form(
             e += -1 if i else 1
         if e:
             kept[j] = e
-    num, den = res
     # the structured factors have content 1, so by Gauss's lemma
     # cancelling them leaves the joint content at 1
-    num, den = _cancel_structured(num, den)
+    num, den = _cancel_structured(*res, *vals)
     if den.trailing()[1] < 0:
         num, den = -num, -den
     return num, den, kept
@@ -587,9 +593,10 @@ class RationalFunction:
     Internally a value is ``res_num * prod f_j^e / res_den`` with
     f_j = 1 + b*q^j: a signed exponent map ``{j: e}`` and one residual
     polynomial on each side.  Factors a caller knows (the ``_factored``
-    constructor, or an operand that is exactly some f_j) stay in the map, so
-    products, quotients and sums of such values cancel them by exponent
-    arithmetic; everything else lives in the residuals.  The public ``num``
+    constructor, which takes runs (m, k) of (-bq^m;q)_k, or an operand that
+    is exactly some f_j) stay in the map, so products, quotients and sums of
+    such values cancel them by exponent arithmetic; everything else lives
+    in the residuals.  The public ``num``
     and ``den`` multiply the map's factors back in on first use and are
     cached; they are exactly the normal form of the expanded inputs, so no
     output depends on how a value was split.
@@ -630,11 +637,29 @@ class RationalFunction:
         return rf
 
     @classmethod
-    def _factored(
+    def _from_exps(
         cls, num: Polynomial, exps: Mapping[int, int], den: Polynomial = ONE
     ) -> "RationalFunction":
-        """num * prod f_j^e / den with f_j = 1 + b*q^j, for callers that know their factors."""
+        """num * prod f_j^e / den with f_j = 1 + b*q^j, normalised."""
         return cls._from_normal(*_normal_form(num, den, exps))
+
+    @classmethod
+    def _factored(
+        cls,
+        num: Polynomial,
+        num_runs: Iterable[tuple[int, int]] = (),
+        den_runs: Iterable[tuple[int, int]] = (),
+    ) -> "RationalFunction":
+        """num * prod (-bq^m;q)_k over num_runs / prod (-bq^m;q)_k over den_runs.
+
+        For callers that know their factors: each run (m, k) is f_m ... f_(m+k-1).
+        """
+        exps: dict[int, int] = {}
+        for sign, runs in ((1, num_runs), (-1, den_runs)):
+            for m, k in runs:
+                for j in range(m, m + k):
+                    exps[j] = exps.get(j, 0) + sign
+        return cls._from_exps(num, exps)
 
     @property
     def num(self) -> Polynomial:
@@ -700,8 +725,8 @@ class RationalFunction:
         num_a = _times_factors(self._rnum, own_a)
         num_b = _times_factors(o._rnum, own_b)
         if same_split and self._rden == o._rden:
-            return RationalFunction._factored(num_a + num_b, common, self._rden)
-        return RationalFunction._factored(num_a * o._rden + num_b * self._rden, common, self._rden * o._rden)
+            return RationalFunction._from_exps(num_a + num_b, common, self._rden)
+        return RationalFunction._from_exps(num_a * o._rden + num_b * self._rden, common, self._rden * o._rden)
 
     __radd__ = __add__
 
@@ -725,7 +750,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction._factored(self._rnum * o._rnum, self._times_exps(o, 1), self._rden * o._rden)
+        return RationalFunction._from_exps(self._rnum * o._rnum, self._times_exps(o, 1), self._rden * o._rden)
 
     __rmul__ = __mul__
 
@@ -735,7 +760,7 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("division by zero rational function")
-        return RationalFunction._factored(self._rnum * o._rden, self._times_exps(o, -1), self._rden * o._rnum)
+        return RationalFunction._from_exps(self._rnum * o._rden, self._times_exps(o, -1), self._rden * o._rnum)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         o = self._coerce(other)
@@ -747,8 +772,8 @@ class RationalFunction:
         if n < 0:
             if self.is_zero:
                 raise DivisionByZero("negative power of zero")
-            return RationalFunction._factored(self._rden, {j: -e for j, e in self._exps.items()}, self._rnum) ** (-n)
-        return RationalFunction._factored(
+            return RationalFunction._from_exps(self._rden, {j: -e for j, e in self._exps.items()}, self._rnum) ** (-n)
+        return RationalFunction._from_exps(
             self._rnum**n, {j: n * e for j, e in self._exps.items()}, self._rden**n
         )
 

@@ -201,8 +201,8 @@ def check_telescoping(n_max: int = 10, g_fn=None, diff_fn=None) -> VerificationR
             direct = g_fn(n, s) - g_fn(n, s + 1)
             ok, wit = compare(direct, diff_fn(n, s))
             if ok:
-                closed = RationalFunction._factored(L * Q ** (s + 1), {s: -1, s + 1: -1}) * g_fn(n, s + 2)
-                ok, wit = compare(direct, closed)
+                closed = RationalFunction(L * Q ** (s + 1)) / (ONE + B * Q**s) / (ONE + B * Q ** (s + 1))
+                ok, wit = compare(direct, closed * g_fn(n, s + 2))
             cases.append(_case(ok, wit, n=n, s=s))
     return VerificationReport(suite="telescoping", cases=tuple(cases))
 
@@ -229,7 +229,7 @@ def check_asi(n_max: int = 10, asi_fn=None, g_fn=None) -> VerificationReport:
     ok0, wit0 = compare(asi_fn(0), RationalFunction(ONE))
     cases.append(_case(ok0, wit0, n=0))
     for n in range(1, n_max + 1):
-        rhs = g_fn(n, 1) * RationalFunction._factored(ONE, {j: 1 for j in range(1, n + 1)})
+        rhs = g_fn(n, 1) * RationalFunction._factored(ONE, num_runs=((1, n),))
         cases.append(_case(*compare(asi_fn(n), rhs), n=n))
     return VerificationReport(suite="asi", cases=tuple(cases))
 

@@ -138,7 +138,7 @@ def test_recursion_and_telescoping_values_match_expanded_arithmetic():
         for s in range(n):
             direct = gs[s][0] - gs[s + 1][0]
             assert_same(direct, gs[s][1] - gs[s + 1][1])
-            closed = RationalFunction._factored(L * Q ** (s + 1), {s: -1, s + 1: -1}) * gs[s + 2][0]
+            closed = RationalFunction(L * Q ** (s + 1)) / f(s) / f(s + 1) * gs[s + 2][0]
             assert_same(closed, Expanded(L * Q ** (s + 1), f(s) * f(s + 1)) * gs[s + 2][1])
 
 
@@ -183,7 +183,7 @@ def _expand(res, known):
 def values(draw, shared):
     (rn, kn), (rd, kd) = draw(sides(shared)), draw(sides(shared))
     exps = {j: kn.get(j, 0) - kd.get(j, 0) for j in kn.keys() | kd.keys()}
-    return RationalFunction._factored(rn, exps, rd), Expanded(_expand(rn, kn), _expand(rd, kd))
+    return RationalFunction._from_exps(rn, exps, rd), Expanded(_expand(rn, kn), _expand(rd, kd))
 
 
 @given(data=st.data())
@@ -210,11 +210,21 @@ def test_sum_over_equal_denominators_split_differently():
     # denominator and the non-structured r is not squared
     r = ONE + L + 2 * Q * B
     x = RationalFunction(Q, r * f(3))
-    y = RationalFunction._factored(L, {3: -1}, r)
+    y = RationalFunction._from_exps(L, {3: -1}, r)
     assert x.den == y.den
     total = x + y
     assert_same(total, Expanded(x.num, x.den) + Expanded(y.num, y.den))
     assert total.den == r * f(3)
+
+
+
+def test_factored_runs_are_pochhammer_products():
+    # (-bq;q)_3 / (-bq^2;q)_2 leaves f_1 over the residual; runs may overlap
+    x = RationalFunction._factored(L, num_runs=((1, 3),), den_runs=((2, 2),))
+    assert x._exps == {1: 1} and x.num == L * f(1) and x.den == ONE
+    y = RationalFunction._factored(ONE, den_runs=((0, 2), (1, 2)))
+    assert y._exps == {0: -1, 1: -2, 2: -1}
+    assert_same(y, Expanded(ONE, f(0) * f(1) ** 2 * f(2)))
 
 
 # -- bounded memory ----------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Paired before/after runs of one perfbench workload, summarised as JSON.
 
     python3 tools/bench_pairs.py --before REV --after REV --workload verify_all \\
-        [--pairs 10] [--seconds 60] [--seed 0] [--out BENCH_label.json]
+        [--pairs 10] [--seed 0] [--out BENCH_label.json]
 
 Each revision is exported with ``git archive`` into its own fresh directory,
-and ``perfbench/run.py`` runs there, so both sides build from committed
-sources only.  Pair i runs both sides with seed ``--seed + i``; the side
-that runs first alternates from pair to pair, so a drift in host speed
-falls on both sides alike.  The summary gives, per end-to-end metric, the
+and ``perfbench/run.py`` runs there at its own run length, so both sides
+build from committed sources only.  Pair i runs both sides with seed
+``--seed + i``; the side that runs first alternates from pair to pair, so a
+drift in host speed falls on both sides alike.  The summary gives, per end-to-end metric, the
 median and quartiles of each side and the number of pairs the after side
-won.  With ``--out`` the workload's entry is merged into that file, which
-also records both git shas, the Python version and nproc.
+won.  Each run's record keeps the ``# failed:`` lines perfbench prints,
+so a failing op can be found again.  With ``--out`` the workload's entry,
+with both git shas, is merged into that file, which also records the
+Python version and nproc.
 """
 
 from __future__ import annotations
@@ -38,14 +40,20 @@ def export(rev: str, dest: Path) -> str:
     return sha.stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+FAILED_PREFIX = "# failed: "
+RUN_KEYS = ("correct", "failed", "errors")
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    errors = [line[len(FAILED_PREFIX):] for line in lines if line.startswith(FAILED_PREFIX)]
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
-    return {"correct": result["correct"], "failed": result["failed"], **metrics}
+    return {"correct": result["correct"], "failed": result["failed"], "errors": errors, **metrics}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -56,7 +64,7 @@ def quartiles(values: list[float]) -> dict:
 def summarise(pairs: list[dict]) -> dict:
     out = {}
     for metric in pairs[0]["before"]:
-        if metric in ("correct", "failed"):
+        if metric in RUN_KEYS:
             continue
         before = [p["before"][metric] for p in pairs]
         after = [p["after"][metric] for p in pairs]
@@ -75,7 +83,6 @@ def main() -> int:
     parser.add_argument("--after", required=True, help="git revision of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None, help="JSON file to merge the summary into")
     args = parser.parse_args()
@@ -92,20 +99,15 @@ def main() -> int:
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
             pair = {"seed": args.seed + i, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], args.workload, args.seed + i, args.seconds)
+                pair[side] = run_once(trees[side], args.workload, args.seed + i)
             pairs.append(pair)
             print(json.dumps(pair), flush=True)
 
-    entry = {"seconds": args.seconds, "pairs": pairs, "summary": summarise(pairs)}
+    entry = {"before_sha": shas["before"], "after_sha": shas["after"], "pairs": pairs, "summary": summarise(pairs)}
     print(json.dumps(entry["summary"], indent=1))
     if args.out is not None:
         data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data.update({
-            "before_sha": shas["before"],
-            "after_sha": shas["after"],
-            "python": platform.python_version(),
-            "nproc": len(os.sched_getaffinity(0)),
-        })
+        data.update({"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0))})
         data.setdefault("workloads", {})[args.workload] = entry
         args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0

@@ -1,11 +1,11 @@
 """Time each layer of theorem1 at single depths, with empty memo tables.
 
-    python3 tools/theorem1_layers.py [--src DIR] [--repeat 3] 12 16 20
+    python3 tools/theorem1_layers.py [--src DIR] 12 16 20
 
 For each depth n: g(n, 0), g(n, 1), the ratio (1+b) g(n,0)/g(n,1), the
 backward fraction, the forward recurrence and ``compare``, in seconds, plus
 the term counts of the ratio's numerator and denominator.  Every layer's
-time is the smallest of ``--repeat`` runs, each started from empty memo
+time is the smallest of ``REPEAT`` runs, each started from empty memo
 tables.  ``--src`` points at the ``src`` directory of another checkout, so
 the same script times an older revision.  Prints one JSON object.
 """
@@ -17,6 +17,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+REPEAT = 3
 
 
 def time_depth(n: int, core, qpoch, verify, poly) -> dict:
@@ -46,14 +48,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("depths", type=int, nargs="+")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
-    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     sys.path.insert(0, str(args.src))
     from rrcf import core, poly, qpoch, verify
 
     out = {}
     for n in args.depths:
-        runs = [time_depth(n, core, qpoch, verify, poly) for _ in range(max(args.repeat, 1))]
+        runs = [time_depth(n, core, qpoch, verify, poly) for _ in range(REPEAT)]
         out[str(n)] = {
             "s": {k: round(min(r["times"][k] for r in runs), 4) for k in runs[0]["times"]},
             "num_terms": runs[0]["num_terms"],
