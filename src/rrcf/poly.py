@@ -2,8 +2,9 @@
 
 A polynomial is a finite map from monomials to nonzero integer coefficients.
 Monomials are exponent triples ``(eq, el, eb)`` for the three indeterminates
-``q``, ``l`` (lambda) and ``b``; exponents are non-negative.  Coefficients are
-arbitrary-precision Python ``int``; anything else is rejected.
+``q``, ``l`` (lambda) and ``b``; exponents are non-negative.  Exponents and
+coefficients are Python ``int`` (coefficients of arbitrary precision);
+anything else, ``bool`` and ``float`` included, is rejected.
 
 Rational functions are quotients of two polynomials, kept in a normal form:
 
@@ -32,8 +33,7 @@ takes three steps:
    (f_j divides P exactly when P vanishes at b = -q^-j, one pass over P's
    terms) and divided out where it divides;
 3. the residuals go through trial division by the structured factors
-   (``_cancel_structured``), which returns at once when the residual
-   denominator is a constant.
+   (``_cancel_structured``), unless the residual denominator is a constant.
 
 The f_j are irreducible, pairwise coprime and coprime to every 1 - q^k, so
 the expanded ``num`` and ``den`` are the same polynomials that trial
@@ -42,6 +42,19 @@ case of an empty map, which takes the same path.  ``num`` and ``den`` are
 expanded on first use and cached on the value.  Equality compares the
 internal forms, then the expanded ``num`` and ``den``, and cross-multiplies
 only when both differ.
+
+Two lemmas let the operations that build the continued fraction (each level
+of ``core.cf_finite_backward`` and of the recursion descent is
+``1+b*q^j + l*q^(j+1)/T``) skip normalisation, because the result is
+already normal when the operand ``x = A/D`` is:
+
+* a sum with a polynomial p (residual denominator 1, no negative
+  exponent): ``x + p = (A + p*D)/D``.  A structured factor or an integer
+  that divides D and A + p*D divides A too, and D keeps its sign; the
+  common f_j are taken out as in every sum.
+* a product or quotient with a monomial m: every structured factor has
+  constant term 1, so none divides m.  Only the content and, when m or A
+  moves into the denominator, the sign are left to fix.
 
 ``Fraction`` enters only as a ``RationalFunction`` scalar, as a constructor
 argument or an arithmetic operand; it is split there into an integer
@@ -113,14 +126,16 @@ class Polynomial:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, c in items:
-                eq, el, eb = mono
+                eq, el, eb = key = tuple(mono)
+                # exactly int: a bool is an int, and a float exponent would be truncated
+                if any(type(x) is not int for x in key):
+                    raise TypeError(f"exponents of monomial {mono!r} are not all ints")
+                if type(c) is not int:
+                    raise TypeError(f"coefficient {c!r} of monomial {mono!r} is not an int")
                 if eq < 0 or el < 0 or eb < 0:
                     raise ValueError(f"negative exponent in monomial {mono!r}")
-                if not isinstance(c, int):
-                    raise TypeError(f"coefficient {c!r} of monomial {mono!r} is not an int")
                 if c == 0:
                     continue
-                key = (int(eq), int(el), int(eb))
                 prev = store.get(key)
                 if prev is None:
                     store[key] = c
@@ -242,6 +257,10 @@ class Polynomial:
         a, bt = self._terms, other._terms
         if len(a) < len(bt):
             a, bt = bt, a
+        if len(bt) == 1:
+            # a one-term factor shifts every key: no two collide, no product is 0
+            ((sq, sl, sb), cb), = bt.items()
+            return Polynomial._raw({(aq + sq, al + sl, ab + sb): ca * cb for (aq, al, ab), ca in a.items()})
         out: dict[tuple, int] = {}
         get = out.get
         for (aq, al, ab), ca in a.items():
@@ -383,9 +402,9 @@ class Polynomial:
 
     @classmethod
     def from_terms_json(cls, data: Iterable[dict]) -> "Polynomial":
-        """Inverse of to_terms_json; every coefficient must read as a decimal integer."""
+        """Inverse of to_terms_json; every coefficient and exponent must read as a decimal integer."""
         # via str, so that a float or "1/2" raises instead of being truncated
-        return cls({(t["q"], t["l"], t["b"]): int(str(t["c"])) for t in data})
+        return cls({tuple(int(str(t[v])) for v in "qlb"): int(str(t["c"])) for t in data})
 
 
 class _PowerCache:
@@ -486,6 +505,11 @@ def _factor_value(j: int) -> int:
     return 1 + fb * fq**j
 
 
+def _is_unit(p: Polynomial) -> bool:
+    """Whether p is a nonzero constant, which no structured factor divides."""
+    return len(p) <= 1 and p.constant_coeff != 0
+
+
 def _structured_factor_candidates(max_j: int) -> Iterator[tuple[int, Polynomial, int]]:
     # (j, factor, |factor at _FILTER_POINT|) with factor of q-degree j:
     # 1 + b*q^j for j >= 0, then 1 - q^j for j >= 1.  Descending j within a
@@ -514,7 +538,7 @@ def _cancel_structured(
     exactly j.  A caller that already holds num's or den's value at
     ``_FILTER_POINT`` passes it in.
     """
-    if len(den) <= 1 and den.constant_coeff != 0:
+    if _is_unit(den):
         return num, den
     if num_val is None:
         num_val = num.eval_exact(*_FILTER_POINT)
@@ -534,7 +558,7 @@ def _cancel_structured(
             dq -= j
             num_val //= f_val
             den_val //= f_val
-            if len(den) <= 1 and den.constant_coeff != 0:
+            if _is_unit(den):
                 return num, den
     return num, den
 
@@ -548,8 +572,8 @@ def _normal_form(
     e, so known factors on the two sides have cancelled (step 1).  Step 2
     tests each remaining known factor against the other side's residual and
     divides it out where it divides.  Step 3 is ``_cancel_structured`` on
-    the residual pair, which returns at once when the residual denominator
-    is a constant.  Then the sign rule.
+    the residual pair, skipped when the residual denominator is a
+    constant.  Then the sign rule.
 
     Expanded, the result is the normal form of the expanded input: the f_j
     are irreducible, pairwise coprime and coprime to every 1 - q^k, so
@@ -581,7 +605,9 @@ def _normal_form(
             kept[j] = e
     # the structured factors have content 1, so by Gauss's lemma
     # cancelling them leaves the joint content at 1
-    num, den = _cancel_structured(*res, *vals)
+    num, den = res
+    if not _is_unit(den):
+        num, den = _cancel_structured(num, den, *vals)
     if den.trailing()[1] < 0:
         num, den = -num, -den
     return num, den, kept
@@ -600,6 +626,11 @@ class RationalFunction:
     and ``den`` multiply the map's factors back in on first use and are
     cached; they are exactly the normal form of the expanded inputs, so no
     output depends on how a value was split.
+
+    A sum with a polynomial operand and a product or quotient with a
+    monomial operand keep the other operand's normal form and skip
+    normalisation (the two lemmas of the module docstring); every other
+    operation normalises its result.
 
     Equality first compares the two internal forms, then the expanded
     ``num`` and ``den``, and cross-multiplies only when both differ, so two
@@ -705,25 +736,57 @@ class RationalFunction:
             self._rden.degree("q") + sum(j * e for j, e in exps.items()),
         )
 
-    def __add__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        same_split = self._den_exps() == o._den_exps()
-        if not same_split and self._den_degrees() == o._den_degrees() and self.den == o.den:
-            # equal denominators split differently: a residual hides a known factor
-            return RationalFunction(self.num + o.num, self.den)
+    def _is_polynomial(self) -> bool:
+        return self._rden == ONE and all(e > 0 for e in self._exps.values())
+
+    def _is_monomial(self) -> bool:
+        return len(self._rnum) == 1 and self._rden == ONE and not self._exps
+
+    def _split_numerators(self, other: "RationalFunction") -> tuple[Polynomial, Polynomial, dict[int, int]]:
         # take min(e_self, e_other) of each f_j out of both terms: each
         # numerator is multiplied only by the factors the other term lacks
         common: dict[int, int] = {}
         own_a: dict[int, int] = {}
         own_b: dict[int, int] = {}
-        for j in self._exps.keys() | o._exps.keys():
-            ea, eb = self._exps.get(j, 0), o._exps.get(j, 0)
+        for j in self._exps.keys() | other._exps.keys():
+            ea, eb = self._exps.get(j, 0), other._exps.get(j, 0)
             common[j] = m = min(ea, eb)
             own_a[j], own_b[j] = ea - m, eb - m
-        num_a = _times_factors(self._rnum, own_a)
-        num_b = _times_factors(o._rnum, own_b)
+        return _times_factors(self._rnum, own_a), _times_factors(other._rnum, own_b), common
+
+    def _plus_polynomial(self, p: "RationalFunction") -> "RationalFunction":
+        # first lemma: A/D + p = (A + p*D)/D is already normal, since
+        # whatever divides D and A + p*D divides A, and D keeps its sign
+        num_a, num_p, common = self._split_numerators(p)
+        num = num_a + num_p * self._rden
+        if num.is_zero:
+            return RationalFunction._from_normal(ZERO, ONE, {})
+        return RationalFunction._from_normal(num, self._rden, {j: e for j, e in common.items() if e})
+
+    @staticmethod
+    def _with_monomial(num: Polynomial, den: Polynomial, exps: dict[int, int]) -> "RationalFunction":
+        # second lemma: no structured factor divides a monomial, so a normal
+        # form with one side multiplied by a monomial needs only content and sign
+        if num.is_zero:
+            return RationalFunction._from_normal(ZERO, ONE, {})
+        num, den = _normalize_content(num, den)
+        if den.trailing()[1] < 0:
+            num, den = -num, -den
+        return RationalFunction._from_normal(num, den, exps)
+
+    def __add__(self, other) -> "RationalFunction":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o._is_polynomial():
+            return self._plus_polynomial(o)
+        if self._is_polynomial():
+            return o._plus_polynomial(self)
+        same_split = self._den_exps() == o._den_exps()
+        if not same_split and self._den_degrees() == o._den_degrees() and self.den == o.den:
+            # equal denominators split differently: a residual hides a known factor
+            return RationalFunction(self.num + o.num, self.den)
+        num_a, num_b, common = self._split_numerators(o)
         if same_split and self._rden == o._rden:
             return RationalFunction._from_exps(num_a + num_b, common, self._rden)
         return RationalFunction._from_exps(num_a * o._rden + num_b * self._rden, common, self._rden * o._rden)
@@ -750,6 +813,10 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o._is_monomial():
+            return self._with_monomial(self._rnum * o._rnum, self._rden, self._exps)
+        if self._is_monomial():
+            return self._with_monomial(self._rnum * o._rnum, o._rden, o._exps)
         return RationalFunction._from_exps(self._rnum * o._rnum, self._times_exps(o, 1), self._rden * o._rden)
 
     __rmul__ = __mul__
@@ -760,6 +827,10 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("division by zero rational function")
+        if o._is_monomial():
+            return self._with_monomial(self._rnum, self._rden * o._rnum, self._exps)
+        if self._is_monomial():
+            return self._with_monomial(self._rnum * o._rden, o._rnum, {j: -e for j, e in o._exps.items()})
         return RationalFunction._from_exps(self._rnum * o._rden, self._times_exps(o, -1), self._rden * o._rnum)
 
     def __rtruediv__(self, other) -> "RationalFunction":

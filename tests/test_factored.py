@@ -10,7 +10,7 @@ equal.  The factored arithmetic must give the very same ``num`` and ``den``.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrcf import core, qpoch
+from rrcf import core, poly, qpoch
 from rrcf.core import g, g_difference
 from rrcf.poly import (
     B,
@@ -202,6 +202,59 @@ def test_factored_arithmetic_matches_expanded(data):
     assert_same(x / f(j), ex / Expanded(f(j)))
     assert_same(RationalFunction(x.num, x.den), ex)
     assert x == RationalFunction(ex.num, ex.den)
+
+
+@st.composite
+def polynomial_values(draw, shared):
+    """A polynomial as a value: known f_j in the map, the rest in the residual."""
+    res, known = draw(sides(shared))
+    return RationalFunction._from_exps(res, known), Expanded(_expand(res, known))
+
+
+monomial_values = st.builds(
+    lambda mono, c: Polynomial({mono: c}), small_monomials, st.integers(-6, 6).filter(bool)
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_polynomial_and_monomial_shortcuts_match_expanded(data):
+    # the operations that skip normalisation: a sum with a polynomial, and a
+    # product or quotient with a monomial, on values with maps on both sides
+    shared = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    x, ex = data.draw(values(shared))
+    p, ep = data.draw(polynomial_values(shared))
+    m = data.draw(monomial_values)
+    assert p._is_polynomial() and RationalFunction(m)._is_monomial()
+    assert_same(x + p, ex + ep)
+    assert_same(p + x, ep + ex)
+    assert_same(x - p, ex - ep)
+    assert_same(p - x, ep - ex)
+    # p again with every factor in the residual: the sum cancels to zero
+    zero = p - RationalFunction(ep.num)
+    assert zero.is_zero and zero.den == ONE and zero._exps == {}
+    assert_same(m * x, Expanded(m) * ex)
+    assert_same(x * m, ex * Expanded(m))
+    assert_same(x / m, ex / Expanded(m))
+    if not x.is_zero:
+        assert_same(m / x, Expanded(m) / ex)
+
+
+def test_backward_fraction_does_no_trial_division(monkeypatch):
+    # every level is a polynomial plus a monomial over the tail, so
+    # cf_finite_backward never reaches the trial division
+    calls = []
+    cancel, exact_div = poly._cancel_structured, Polynomial.exact_div
+    monkeypatch.setattr(poly, "_cancel_structured", lambda *a: calls.append("cancel") or cancel(*a))
+    monkeypatch.setattr(Polynomial, "exact_div", lambda p, d: calls.append("exact_div") or exact_div(p, d))
+    spec = core.CFSpec.standard(12)
+    value = core.cf_finite_backward(spec)
+    assert calls == []
+    # the counters see the general path
+    RationalFunction(ONE - Q**2, ONE - Q)
+    assert "cancel" in calls and "exact_div" in calls
+    monkeypatch.undo()
+    assert_same(value, expanded_backward(12))
 
 
 def test_sum_over_equal_denominators_split_differently():

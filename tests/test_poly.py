@@ -63,6 +63,25 @@ def test_mul_two_factors_expanded():
     assert (ONE + B * Q) * (ONE + B * Q**2) == ONE + B * Q + B * Q**2 + B**2 * Q**3
 
 
+def _mul_by_loop(a, b):
+    # the general loop of Polynomial.__mul__: every pair of terms, summed per
+    # key, zeros dropped; the oracle for its one-term shortcut
+    out = {}
+    for (aq, al, ab), ca in a._terms.items():
+        for (bq, bl, bb), cb in b._terms.items():
+            key = (aq + bq, al + bl, ab + bb)
+            out[key] = out.get(key, 0) + ca * cb
+    return Polynomial({k: c for k, c in out.items() if c})
+
+
+@given(p=polynomials, mono=monomials, c=coefficients.filter(bool))
+@settings(max_examples=150)
+def test_one_term_product_is_a_key_shift(p, mono, c):
+    m = Polynomial({mono: c})
+    assert p * m == _mul_by_loop(p, m)
+    assert m * p == _mul_by_loop(m, p)
+
+
 def test_pow_zero_is_one_even_for_zero():
     assert ZERO**0 == ONE
     assert (Q + L) ** 0 == ONE
@@ -151,6 +170,30 @@ def test_fraction_coefficient_rejected():
         Q * Fraction(1, 2)
     with pytest.raises(TypeError):
         Q.substitute("q", Fraction(1, 2))
+
+
+def test_float_exponent_rejected():
+    # int(1.5) would silently turn the monomial into q
+    with pytest.raises(TypeError):
+        Polynomial({(1.5, 0, 0): 1})
+
+
+def test_bool_coefficient_rejected():
+    # True is an int, and would print as "True"
+    with pytest.raises(TypeError):
+        Polynomial({(0, 0, 0): True})
+
+
+def test_from_terms_json_rejects_fractional_exponent():
+    with pytest.raises(ValueError):
+        Polynomial.from_terms_json([{"c": "3", "q": 1.9, "l": 0, "b": 2}])
+
+
+def test_rf_from_json_rejects_fractional_exponent():
+    data = RationalFunction(Q**2, ONE + B).to_json()
+    data["num"][0]["q"] = 2.5
+    with pytest.raises(ValueError):
+        RationalFunction.from_json(data)
 
 
 def test_from_terms_json_rejects_rational_coefficient():
