@@ -34,7 +34,7 @@ normalised once, with no rational-function arithmetic per term.  The
 denominator is handed to RationalFunction as its j-ranges, not as an
 expanded product, so the ratios and differences of g values that the
 identities take cancel those factors by exponent counts instead of
-cross-multiplying and trial-dividing.
+cross-multiplying and dividing.
 
 All functions are pure; g is memoized behind a thread-safe cache bounded at
 ``_G_CACHE_SIZE`` entries, enough for every g_n(s) with n <= 20.

@@ -29,19 +29,24 @@ takes three steps:
 
 1. the exponents of each f_j on the two sides are summed, so known factors
    cancel by counting;
-2. each remaining known factor is tested against the other side's residual
-   (f_j divides P exactly when P vanishes at b = -q^-j, one pass over P's
-   terms) and divided out where it divides;
-3. the residuals go through trial division by the structured factors
+2. each f_j is cancelled to the smaller of its multiplicities on the two
+   sides, taking from the exponent map first and then from the residuals;
+3. each common 1 - q^j is divided out of the residuals, for descending j
    (``_cancel_structured``), unless the residual denominator is a constant.
 
+Divisibility is decided exactly, in one pass over a residual's terms,
+before anything is divided: f_j divides P exactly when P vanishes at
+b = -q^-j, and 1 - q^j divides P exactly when P with its q-exponents
+reduced mod j is zero.  Two screens rule out a whole family at once: every
+f_j vanishes at q = 1, b = -1, and every 1 - q^j is a multiple of 1 - q.
+
 The f_j are irreducible, pairwise coprime and coprime to every 1 - q^k, so
-the expanded ``num`` and ``den`` are the same polynomials that trial
-division of the fully expanded products gives.  A polynomial input is the
-case of an empty map, which takes the same path.  ``num`` and ``den`` are
-expanded on first use and cached on the value.  Equality compares the
-internal forms, then the expanded ``num`` and ``den``, and cross-multiplies
-only when both differ.
+the expanded ``num`` and ``den`` are the same polynomials that cancelling
+the structured factors of the fully expanded products gives.  A polynomial
+input is the case of an empty map, which takes the same path.  ``num`` and
+``den`` are expanded on first use and cached on the value.  Equality
+compares the internal forms, then the expanded ``num`` and ``den``, and
+cross-multiplies only when both differ.
 
 Two lemmas let the operations that build the continued fraction (each level
 of ``core.cf_finite_backward`` and of the recursion descent is
@@ -92,7 +97,8 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division was requested but leaves a remainder.
 
     Raised with (dividend, divisor); the message is rendered only when
-    shown, since trial divisions that fail are caught and discarded.
+    shown.  Normalisation never raises it: it divides only by a factor
+    already shown to divide.
     """
 
     def __str__(self) -> str:
@@ -199,7 +205,7 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self._terms == other._terms
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is not a coefficient
             return self._terms == Polynomial.constant(other)._terms
         return NotImplemented
 
@@ -496,13 +502,28 @@ def _times_factors(p: Polynomial, exps: Mapping[int, int]) -> Polynomial:
 
 # -- normal form ---------------------------------------------------------------
 
-_FILTER_POINT = (3, 2, 2)
+
+def _vanishes_at_factor_roots(p: Polynomial) -> bool:
+    """Whether p vanishes at q = 1, b = -1, where every f_j and so every multiple of one vanishes."""
+    acc: dict[int, int] = {}
+    for (_, el, eb), c in p._terms.items():
+        acc[el] = acc.get(el, 0) + (-c if eb & 1 else c)
+    return not any(acc.values())
 
 
-def _factor_value(j: int) -> int:
-    """f_j at ``_FILTER_POINT``, read off j: 1 + 2*3^j."""
-    fq, _, fb = _FILTER_POINT
-    return 1 + fb * fq**j
+def _q_factor_divides(j: int, p: Polynomial) -> bool:
+    """Whether 1 - q^j divides p, decided in one pass over p's terms.
+
+    q^j - 1 is monic in q, so the remainder of p by it over Z[l, b][q] is p
+    with every q-exponent reduced mod j; it divides p exactly when that
+    remainder is zero.  j = 1 screens the whole family, since every
+    1 - q^j is a multiple of 1 - q.
+    """
+    acc: dict[tuple, int] = {}
+    for (eq, el, eb), c in p._terms.items():
+        key = (eq % j, el, eb)
+        acc[key] = acc.get(key, 0) + c
+    return not any(acc.values())
 
 
 def _is_unit(p: Polynomial) -> bool:
@@ -510,56 +531,23 @@ def _is_unit(p: Polynomial) -> bool:
     return len(p) <= 1 and p.constant_coeff != 0
 
 
-def _structured_factor_candidates(max_j: int) -> Iterator[tuple[int, Polynomial, int]]:
-    # (j, factor, |factor at _FILTER_POINT|) with factor of q-degree j:
-    # 1 + b*q^j for j >= 0, then 1 - q^j for j >= 1.  Descending j within a
-    # family, so that e.g. a common (1-q^2) is taken out whole instead of
-    # losing its (1-q) part and stranding the (1+q) cofactor.  The value is
-    # read off j (1 + 2*3^j and 3^j - 1), not evaluated.
-    for j in range(max_j, -1, -1):
-        yield j, _factor(j), _factor_value(j)
-    fq = _FILTER_POINT[0]
-    for j in range(max_j, 0, -1):
-        yield j, Polynomial._raw({_UNIT_MONO: 1, (j, 0, 0): -1}), fq**j - 1
+def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Divide out the common factors 1 - q^j of num and den.
 
-
-def _cancel_structured(
-    num: Polynomial, den: Polynomial, num_val: int | None = None, den_val: int | None = None
-) -> tuple[Polynomial, Polynomial]:
-    """Divide out common factors (1 - q^j) and (1 + b*q^j) from num and den.
-
-    A cheap integer filter rejects most non-divisors before any trial
-    division: a factor that divides num and den has a value at
-    ``_FILTER_POINT`` that divides both of theirs.  No candidate vanishes
-    there (|1 + 2*3^j| >= 3, |1 - 3^j| >= 2), and a zero value is divisible
-    by everything, so the test is a valid necessary condition at every
-    value and is always applied.  The q-degree of den is tracked, not
-    recomputed: exact division by a factor of q-degree j lowers it by
-    exactly j.  A caller that already holds num's or den's value at
-    ``_FILTER_POINT`` passes it in.
+    For descending j, so that e.g. a common (1-q^2) is taken out whole
+    instead of losing its (1-q) part and stranding the (1+q) cofactor, and
+    while den's q-degree is at least j.  Each divisibility is decided by
+    ``_q_factor_divides`` behind the family screen (1 - q divides both), so
+    ``exact_div`` is called only on a factor that divides.
     """
-    if _is_unit(den):
+    if not (_q_factor_divides(1, den) and _q_factor_divides(1, num)):
         return num, den
-    if num_val is None:
-        num_val = num.eval_exact(*_FILTER_POINT)
-    if den_val is None:
-        den_val = den.eval_exact(*_FILTER_POINT)
     dq = den.degree("q")
-    for j, factor, f_val in _structured_factor_candidates(dq):
-        while dq >= j:
-            if num_val % f_val or den_val % f_val:
-                break
-            try:
-                new_den = den.exact_div(factor)
-                new_num = num.exact_div(factor)
-            except NotDivisible:
-                break
-            num, den = new_num, new_den
+    for j in range(dq, 0, -1):
+        while dq >= j and _q_factor_divides(j, den) and _q_factor_divides(j, num):
+            factor = Polynomial._raw({_UNIT_MONO: 1, (j, 0, 0): -1})
+            num, den = num.exact_div(factor), den.exact_div(factor)
             dq -= j
-            num_val //= f_val
-            den_val //= f_val
-            if _is_unit(den):
-                return num, den
     return num, den
 
 
@@ -570,10 +558,12 @@ def _normal_form(
 
     The caller has already summed the exponents of each f_j into one signed
     e, so known factors on the two sides have cancelled (step 1).  Step 2
-    tests each remaining known factor against the other side's residual and
-    divides it out where it divides.  Step 3 is ``_cancel_structured`` on
-    the residual pair, skipped when the residual denominator is a
-    constant.  Then the sign rule.
+    cancels each f_j to the smaller of its multiplicities on the two sides,
+    taking from the exponent map first and then from the residuals; a
+    residual is tested for f_j only when it passes the family screen, and
+    then by ``_factor_divides``.  Step 3 is ``_cancel_structured`` on the
+    residual pair, skipped when the residual denominator is a constant.
+    Then the sign rule.
 
     Expanded, the result is the normal form of the expanded input: the f_j
     are irreducible, pairwise coprime and coprime to every 1 - q^k, so
@@ -584,30 +574,40 @@ def _normal_form(
         raise DivisionByZero("rational function with zero denominator")
     if num.is_zero:
         return ZERO, ONE, {}
-    num, den = _normalize_content(num, den)
-    # step 2, screened by the value test of _cancel_structured: res[i] is
-    # the residual a factor is tested against, den for a numerator factor
-    res = [num, den]
-    vals: list[int | None] = [None, None]
+    res = list(_normalize_content(num, den))
+    # whether res[i] passes the f_j screen, computed when first needed; a
+    # pass only lets the exact test run, so a division need not redo it
+    screen: list[bool | None] = [None, None]
+
+    def holds(i: int, j: int) -> bool:
+        if screen[i] is None:
+            screen[i] = _vanishes_at_factor_roots(res[i])
+        return bool(screen[i]) and _factor_divides(j, res[i])
+
+    def cancel(j: int, e: int) -> int:
+        # a side holds f_j in the map (the sign of e) or in its residual
+        while (e < 0 or holds(1, j)) and (e > 0 or holds(0, j)):
+            if e <= 0:
+                res[0] = res[0].exact_div(_factor(j))
+            if e >= 0:
+                res[1] = res[1].exact_div(_factor(j))
+            e += (e < 0) - (e > 0)
+        return e
+
     kept = {}
     for j, e in exps.items():
-        i = 1 if e > 0 else 0
-        f_val = _factor_value(j)
-        while e:
-            if vals[i] is None:
-                vals[i] = res[i].eval_exact(*_FILTER_POINT)
-            if vals[i] % f_val or not _factor_divides(j, res[i]):
-                break
-            res[i] = res[i].exact_div(_factor(j))
-            vals[i] //= f_val
-            e += -1 if i else 1
+        e = cancel(j, e)
         if e:
             kept[j] = e
+    # an f_j outside the map can only be common to the two residuals
+    for j in range(res[1].degree("q"), -1, -1):
+        if j not in exps:
+            cancel(j, 0)
     # the structured factors have content 1, so by Gauss's lemma
     # cancelling them leaves the joint content at 1
     num, den = res
     if not _is_unit(den):
-        num, den = _cancel_structured(num, den, *vals)
+        num, den = _cancel_structured(num, den)
     if den.trailing()[1] < 0:
         num, den = -num, -den
     return num, den, kept
@@ -714,7 +714,7 @@ class RationalFunction:
     def _coerce(value) -> "RationalFunction | None":
         if isinstance(value, RationalFunction):
             return value
-        if isinstance(value, (Polynomial, int, Fraction)):
+        if isinstance(value, (Polynomial, Fraction)) or type(value) is int:
             return RationalFunction(value)
         return None
 
@@ -838,15 +838,6 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         return o / self
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            if self.is_zero:
-                raise DivisionByZero("negative power of zero")
-            return RationalFunction._from_exps(self._rden, {j: -e for j, e in self._exps.items()}, self._rnum) ** (-n)
-        return RationalFunction._from_exps(
-            self._rnum**n, {j: n * e for j, e in self._exps.items()}, self._rden**n
-        )
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)

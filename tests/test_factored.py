@@ -2,15 +2,17 @@
 
 ``Expanded`` below is rational-function arithmetic with no exponent map:
 every result is normalised from the expanded cross products by
-``_normalize_content``, then ``_cancel_structured``, then the sign rule,
-and a sum uses the shared denominator only when the two denominators are
-equal.  The factored arithmetic must give the very same ``num`` and ``den``.
+``_normalize_content``, then ``trial_cancel``, then the sign rule, and a
+sum uses the shared denominator only when the two denominators are equal.
+``trial_cancel`` finds the structured factors by a value screen and trial
+division, independently of the exact divisibility tests of ``rrcf.poly``.
+The factored arithmetic must give the very same ``num`` and ``den``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrcf import core, poly, qpoch
+from rrcf import core, poly, qpoch, verify
 from rrcf.core import g, g_difference
 from rrcf.poly import (
     B,
@@ -18,9 +20,9 @@ from rrcf.poly import (
     ONE,
     Q,
     ZERO,
+    NotDivisible,
     Polynomial,
     RationalFunction,
-    _cancel_structured,
     _normalize_content,
 )
 from rrcf.qpoch import poch_neg_bq, q_binomial
@@ -28,6 +30,48 @@ from rrcf.qpoch import poch_neg_bq, q_binomial
 
 def f(j):
     return ONE + B * Q**j
+
+
+FILTER_POINT = (3, 2, 2)
+
+
+def is_unit(p):
+    return len(p) == 1 and p.constant_coeff != 0
+
+
+def trial_cancel(num, den):
+    """Divide out common factors (1 - q^j) and (1 + b*q^j) from num and den.
+
+    A factor that divides num and den has a value at FILTER_POINT that
+    divides both of theirs; no candidate vanishes there (|1 + 2*3^j| >= 3,
+    |1 - 3^j| >= 2), so the value screen is a valid necessary condition,
+    and only candidates that pass it are tried by exact division.  The
+    candidates are 1 + b*q^j for descending j >= 0, then 1 - q^j for
+    descending j >= 1, each while den's q-degree is at least j.
+    """
+    if is_unit(den):
+        return num, den
+    num_val, den_val = num.eval_exact(*FILTER_POINT), den.eval_exact(*FILTER_POINT)
+    fq, _, fb = FILTER_POINT
+    dq = den.degree("q")
+    candidates = [(j, f(j), 1 + fb * fq**j) for j in range(dq, -1, -1)]
+    candidates += [(j, ONE - Q**j, fq**j - 1) for j in range(dq, 0, -1)]
+    for j, factor, f_val in candidates:
+        while dq >= j:
+            if num_val % f_val or den_val % f_val:
+                break
+            try:
+                new_den = den.exact_div(factor)
+                new_num = num.exact_div(factor)
+            except NotDivisible:
+                break
+            num, den = new_num, new_den
+            dq -= j
+            num_val //= f_val
+            den_val //= f_val
+            if is_unit(den):
+                return num, den
+    return num, den
 
 
 class Expanded:
@@ -39,7 +83,7 @@ class Expanded:
         if num.is_zero:
             self.num, self.den = ZERO, ONE
             return
-        num, den = _cancel_structured(*_normalize_content(num, den))
+        num, den = trial_cancel(*_normalize_content(num, den))
         if den.trailing()[1] < 0:
             num, den = -num, -den
         self.num, self.den = num, den
@@ -242,7 +286,7 @@ def test_polynomial_and_monomial_shortcuts_match_expanded(data):
 
 def test_backward_fraction_does_no_trial_division(monkeypatch):
     # every level is a polynomial plus a monomial over the tail, so
-    # cf_finite_backward never reaches the trial division
+    # cf_finite_backward never reaches _cancel_structured
     calls = []
     cancel, exact_div = poly._cancel_structured, Polynomial.exact_div
     monkeypatch.setattr(poly, "_cancel_structured", lambda *a: calls.append("cancel") or cancel(*a))
@@ -255,6 +299,26 @@ def test_backward_fraction_does_no_trial_division(monkeypatch):
     assert "cancel" in calls and "exact_div" in calls
     monkeypatch.undo()
     assert_same(value, expanded_backward(12))
+
+
+def test_verify_suites_make_no_failing_division(monkeypatch):
+    # divisibility is decided before exact_div is called, so no call fails
+    calls = {"ok": 0, "failed": 0}
+    exact_div = Polynomial.exact_div
+
+    def counting_exact_div(p, d):
+        try:
+            out = exact_div(p, d)
+        except NotDivisible:
+            calls["failed"] += 1
+            raise
+        calls["ok"] += 1
+        return out
+
+    core._g_cached.cache_clear()
+    monkeypatch.setattr(Polynomial, "exact_div", counting_exact_div)
+    assert all(report.all_passed for report in verify.run_all(10, 0))
+    assert calls["failed"] == 0 and calls["ok"] > 0, calls
 
 
 def test_sum_over_equal_denominators_split_differently():

@@ -18,9 +18,9 @@ from rrcf.poly import (
     Q,
     RationalFunction,
     ZERO,
-    _FILTER_POINT,
     _factor_divides,
-    _structured_factor_candidates,
+    _q_factor_divides,
+    _vanishes_at_factor_roots,
 )
 
 monomials = st.tuples(
@@ -267,6 +267,13 @@ def test_rf_not_equal():
     assert RationalFunction(ONE, ONE + B) != RationalFunction(ONE, ONE + B * Q)
 
 
+def test_comparison_with_bool_is_false():
+    # a bool is an int, but not a coefficient
+    assert (ONE == True) is False
+    assert (RationalFunction(ONE) == True) is False
+    assert ONE == 1 and RationalFunction(ONE) == 1
+
+
 def test_rf_zero_denominator_rejected():
     with pytest.raises(DivisionByZero):
         RationalFunction(ONE, ZERO)
@@ -282,8 +289,9 @@ def test_rf_structured_cancellation_reduces():
 
 
 def test_cancel_filter_holds_when_numerator_vanishes_at_filter_point(monkeypatch):
-    # L - 2 makes the numerator vanish at the filter point (3, 2, 2); the
-    # denominator's value must still screen out the non-factors
+    # L - 2 makes the numerator vanish at (q, l, b) = (3, 2, 2), so a value
+    # screen there would pass every candidate; the exact rule rejects them
+    # all without dividing
     x = g(12, 1)
     calls = []
     exact_div = Polynomial.exact_div
@@ -296,19 +304,15 @@ def test_cancel_filter_holds_when_numerator_vanishes_at_filter_point(monkeypatch
     rf = RationalFunction(x.num * (L - 2), x.den)
     monkeypatch.undo()
     assert (rf.num, rf.den) == (x.num * (L - 2), x.den)
-    # the denominator is a product of distinct factors 1 + b*q^j, one b each
-    assert x.den.degree("b") == 12
-    assert len(calls) <= 2 * x.den.degree("b")
+    assert calls == []
 
 
-def test_candidate_values_are_read_off_j():
-    # the filter value of each candidate, in the unchanged candidate order
-    got = list(_structured_factor_candidates(6))
-    assert [(j, factor) for j, factor, _ in got] == [(j, ONE + B * Q**j) for j in range(6, -1, -1)] + [
-        (j, ONE - Q**j) for j in range(6, 0, -1)
-    ]
-    for _, factor, value in got:
-        assert value == abs(factor.eval_exact(*_FILTER_POINT))
+def _divides(p, divisor):
+    try:
+        p.exact_div(divisor)
+    except NotDivisible:
+        return False
+    return True
 
 
 @given(p=nonzero_polynomials, j=st.integers(0, 5))
@@ -316,12 +320,23 @@ def test_candidate_values_are_read_off_j():
 def test_factor_divides_is_exact(p, j):
     f = ONE + B * Q**j
     assert _factor_divides(j, p * f)
-    try:
-        p.exact_div(f)
-        divides = True
-    except NotDivisible:
-        divides = False
-    assert _factor_divides(j, p) == divides
+    assert _factor_divides(j, p) == _divides(p, f)
+
+
+@given(p=nonzero_polynomials, j=st.integers(1, 5))
+@settings(max_examples=150)
+def test_q_factor_divides_is_exact(p, j):
+    f = ONE - Q**j
+    assert _q_factor_divides(j, p * f)
+    assert _q_factor_divides(j, p) == _divides(p, f)
+
+
+@given(p=nonzero_polynomials, j=st.integers(0, 5))
+@settings(max_examples=150)
+def test_family_screens_pass_on_every_multiple(p, j):
+    assert _vanishes_at_factor_roots(p * (ONE + B * Q**j))
+    if j:
+        assert _q_factor_divides(1, p * (ONE - Q**j))
 
 
 def test_known_factor_operand_becomes_an_exponent():
@@ -329,7 +344,7 @@ def test_known_factor_operand_becomes_an_exponent():
         rf = RationalFunction(ONE + B * Q**j)
         assert (rf._exps, rf._rnum, rf._rden) == ({j: 1}, ONE, ONE)
         assert rf.num == ONE + B * Q**j and rf.den == ONE
-    # a known factor cancels by counting, leaving nothing to trial-divide
+    # a known factor cancels by counting, leaving nothing to divide
     x = g(6, 1)
     assert ((ONE + B * Q) * x / (ONE + B * Q))._exps == x._exps
 
