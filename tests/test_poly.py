@@ -290,8 +290,8 @@ def test_rf_structured_cancellation_reduces():
 
 def test_cancel_filter_holds_when_numerator_vanishes_at_filter_point(monkeypatch):
     # L - 2 makes the numerator vanish at (q, l, b) = (3, 2, 2), so a value
-    # screen there would pass every candidate; the exact rule rejects them
-    # all without dividing
+    # screen there learns nothing from it; the exact rule rejects every
+    # candidate without dividing
     x = g(12, 1)
     calls = []
     exact_div = Polynomial.exact_div
