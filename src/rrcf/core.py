@@ -28,13 +28,14 @@ Al-Salam-Ismail orthogonal polynomial U_n(x; a, b) whose specialization
 U_n(1; bq, -l*q^2) equals g_n(1) * (-bq;q)_n.
 
 Every term of these sums is a q-binomial over a product of factors
-(1 + b*q^j) whose range is known from the summation index, so each sum is
-built as one polynomial numerator over its common denominator and
-normalised once, with no rational-function arithmetic per term.  The
-denominator is handed to RationalFunction as its j-ranges, not as an
-expanded product, so the ratios and differences of g values that the
-identities take cancel those factors by exponent counts instead of
-cross-multiplying and dividing.
+f_j = 1 + b*q^j whose range is known from the summation index, so each sum
+is one polynomial numerator over the last term's denominator, normalised
+once.  The numerator is summed in ascending Horner form: the partial sum
+is multiplied, by shift and add, by the f_j that the next term's
+denominator adds, so no cofactor product is formed.  The denominator is
+handed to RationalFunction as its j-ranges, so the ratios and differences
+of g values that the identities take cancel those factors by exponent
+counts instead of cross-multiplying and dividing.
 
 All functions are pure; g is memoized behind a thread-safe cache bounded at
 ``_G_CACHE_SIZE`` entries, enough for every g_n(s) with n <= 20.
@@ -45,8 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import B, L, ONE, ZERO, Polynomial, Q, RationalFunction
-from .qpoch import poch_neg_bq, q_binomial
+from .poly import B, L, ONE, ZERO, Polynomial, Q, RationalFunction, _times_factor
+from .qpoch import q_binomial
 
 __all__ = [
     "CFSpec",
@@ -94,14 +95,14 @@ _G_CACHE_SIZE = 512
 
 @lru_cache(maxsize=_G_CACHE_SIZE)
 def _g_cached(n: int, s: int) -> RationalFunction:
-    # Term k has denominator (-bq^s;q)_k (-bq^(n-k+1);q)_k.  The two j-ranges
-    # [s, s+k-1] and [n-k+1, n] are disjoint since 2k <= n-s+1, and both grow
-    # with k, so the last term's denominator is the common one.
+    # Term k has denominator (-bq^s;q)_k (-bq^(n-k+1);q)_k.  Its j-ranges
+    # [s, s+k-1] and [n-k+1, n] are disjoint (2k <= n-s+1) and gain s+k-1 and
+    # n-k+1 over term k-1's, so the last term's denominator is the common one.
     top = (n - s + 1) // 2
-    num = ZERO
-    for k in range(top + 1):
-        cofactor = poch_neg_bq(s + k, top - k) * poch_neg_bq(n - top + 1, top - k)
-        num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s + 1, k) * cofactor
+    num = ONE
+    for k in range(1, top + 1):
+        num = _times_factor(_times_factor(num, s + k - 1), n - k + 1)
+        num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s + 1, k)
     return RationalFunction._factored(num, den_runs=((s, top), (n - top + 1, top)))
 
 
@@ -114,8 +115,8 @@ def g(n: int, s: int) -> RationalFunction:
     where the second factorial is (-bq;q)_n / (-bq;q)_{n-k}.  Valid for
     1 <= n and 0 <= s <= n+1 (the range the recursion and its endpoints
     use); anything else raises.  The sum is built over its common
-    denominator, a product of distinct factors (1 + b*q^j), and normalised
-    once.
+    denominator, a product of distinct factors (1 + b*q^j), in Horner form,
+    and normalised once.
     """
     _require_positive(n)
     if not 0 <= s <= n + 1:
@@ -134,16 +135,16 @@ def g_difference(n: int, s: int) -> RationalFunction:
     factor (1-q^k), and the remaining sum
       sum_{k>=1} q^(k^2+sk) l^k [n-k-s, k-1]_q / ((-bq^s;q)_{k+1} (-bq^(n-k+2);q)_{k-1})
     equals l*q^(s+1) / ((1+b*q^s)(1+b*q^(s+1))) * g_n(s+2), the telescoping
-    step.  As in g, the last term's denominator is the common one.
+    step.  As in g, it is summed in Horner form over the last term's denominator.
     """
     _require_positive(n)
     if not 0 <= s <= n - 1:
         raise ValueError(f"s must satisfy 0 <= s <= n-1, got s={s} with n={n}")
     top = (n - s + 1) // 2
-    num = ZERO
-    for k in range(1, top + 1):
-        cofactor = poch_neg_bq(s + k + 1, top - k) * poch_neg_bq(n - top + 2, top - k)
-        num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s, k - 1) * cofactor
+    num = Polynomial.monomial(s + 1, 1)
+    for k in range(2, top + 1):
+        num = _times_factor(_times_factor(num, s + k), n - k + 2)
+        num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s, k - 1)
     return RationalFunction._factored(num, den_runs=((s, top + 1), (n - top + 2, top - 1)))
 
 
@@ -228,9 +229,9 @@ def cf_convergents_forward(spec: CFSpec) -> list[ConvergentPair]:
     pairs = [ConvergentPair(0, p_cur, q_cur)]
     for j in range(1, spec.depth + 1):
         aj = spec.partial_numerators[j - 1]
-        bj = spec.partial_denominators[j - 1]
-        p_cur, p_prev = bj * p_cur + aj * p_prev, p_cur
-        q_cur, q_prev = bj * q_cur + aj * q_prev, q_cur
+        # CFSpec checks that b_j is 1 + b*q^j, so b_j * P is a shift and add
+        p_cur, p_prev = _times_factor(p_cur, j) + aj * p_prev, p_cur
+        q_cur, q_prev = _times_factor(q_cur, j) + aj * q_prev, q_cur
         pairs.append(ConvergentPair(j, p_cur, q_cur))
     return pairs
 
@@ -253,11 +254,17 @@ def asi_u(n: int) -> RationalFunction:
     l^k q^(k^2+k) [n-k, k]_q (-bq;q)_{n-k}/(-bq;q)_k, that is the polynomial
     l^k q^(k^2+k) [n-k, k]_q (-bq^(k+1);q)_{n-2k}.  The sum is a polynomial,
     returned as a RationalFunction with denominator 1, and satisfies
-    asi_u(n) == g(n,1) * (-bq;q)_n.
+    asi_u(n) == g(n,1) * (-bq;q)_n.  As in g, it is summed in Horner form.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    num = ZERO
-    for k in range(n // 2 + 1):
-        num = num + Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k) * poch_neg_bq(k + 1, n - 2 * k)
+    # term k-1's factor range exceeds term k's by f_k and f_(n-k+1); for odd
+    # n every term keeps the middle factor f_((n+1)/2), so it multiplies the sum
+    top = n // 2
+    num = ONE
+    for k in range(1, top + 1):
+        num = _times_factor(_times_factor(num, k), n - k + 1)
+        num = num + Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k)
+    if n % 2:
+        num = _times_factor(num, top + 1)
     return RationalFunction(num)

@@ -44,9 +44,9 @@ The f_j are irreducible, pairwise coprime and coprime to every 1 - q^k, so
 the expanded ``num`` and ``den`` are the same polynomials that cancelling
 the structured factors of the fully expanded products gives.  A polynomial
 input is the case of an empty map, which takes the same path.  ``num`` and
-``den`` are expanded on first use and cached on the value.  Equality
-compares the internal forms, then the expanded ``num`` and ``den``, and
-cross-multiplies only when both differ.
+``den`` are expanded on first use, one f_j at a time by shift and add, and
+cached on the value.  Equality compares the internal forms, then the
+expanded ``num`` and ``den``, and cross-multiplies only when both differ.
 
 Two lemmas let the operations that build the continued fraction (each level
 of ``core.cf_finite_backward`` and of the recursion descent is
@@ -142,15 +142,11 @@ class Polynomial:
                     raise ValueError(f"negative exponent in monomial {mono!r}")
                 if c == 0:
                     continue
-                prev = store.get(key)
-                if prev is None:
-                    store[key] = c
+                s = store.get(key, 0) + c
+                if s:
+                    store[key] = s
                 else:
-                    s = prev + c
-                    if s == 0:
-                        del store[key]
-                    else:
-                        store[key] = s
+                    del store[key]
         self._terms = store
 
     @classmethod
@@ -228,15 +224,11 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
             else:
-                s = prev + c
-                if s == 0:
-                    del out[key]
-                else:
-                    out[key] = s
+                del out[key]
         return Polynomial._raw(out)
 
     __radd__ = __add__
@@ -281,6 +273,8 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative powers are not polynomials; use RationalFunction")
+        if len(self._terms) == 1:  # c^n q^(n*eq) l^(n*el) b^(n*eb), built directly
+            return Polynomial._raw({tuple(n * e for e in key): c**n for key, c in self._terms.items()})
         result = ONE
         base = self
         while n:
@@ -480,23 +474,25 @@ def _factor_divides(j: int, p: Polynomial) -> bool:
     return not any(acc.values())
 
 
+def _times_factor(p: Polynomial, j: int) -> Polynomial:
+    """p * f_j by shift and add: p plus p shifted by b*q^j, in one pass; zeros are dropped."""
+    out = dict(p._terms)
+    get = out.get
+    for (eq, el, eb), c in p._terms.items():
+        key = (eq + j, el, eb + 1)
+        s = get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return Polynomial._raw(out)
+
+
 def _times_factors(p: Polynomial, exps: Mapping[int, int]) -> Polynomial:
-    """p * prod f_j^e over the exponents e > 0 of a signed map.
-
-    Each layer of the map is a set of j; every run of consecutive j in it
-    is one (-bq^m;q)_k from the qpoch product table.
-    """
-    from .qpoch import poch_neg_bq  # qpoch imports this module
-
-    layer = {j: e for j, e in exps.items() if e > 0}
-    while layer:
-        js = sorted(layer)
-        start = 0
-        for i in range(1, len(js) + 1):
-            if i == len(js) or js[i] != js[i - 1] + 1:
-                p = p * poch_neg_bq(js[start], i - start)
-                start = i
-        layer = {j: e - 1 for j, e in layer.items() if e > 1}
+    """p * prod f_j^e over the exponents e > 0 of a signed map, one f_j at a time."""
+    for j, e in exps.items():
+        for _ in range(e):
+            p = _times_factor(p, j)
     return p
 
 
@@ -742,7 +738,7 @@ class RationalFunction:
     def _is_monomial(self) -> bool:
         return len(self._rnum) == 1 and self._rden == ONE and not self._exps
 
-    def _split_numerators(self, other: "RationalFunction") -> tuple[Polynomial, Polynomial, dict[int, int]]:
+    def _split_exps(self, other: "RationalFunction") -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
         # take min(e_self, e_other) of each f_j out of both terms: each
         # numerator is multiplied only by the factors the other term lacks
         common: dict[int, int] = {}
@@ -752,13 +748,15 @@ class RationalFunction:
             ea, eb = self._exps.get(j, 0), other._exps.get(j, 0)
             common[j] = m = min(ea, eb)
             own_a[j], own_b[j] = ea - m, eb - m
-        return _times_factors(self._rnum, own_a), _times_factors(other._rnum, own_b), common
+        return own_a, own_b, common
 
     def _plus_polynomial(self, p: "RationalFunction") -> "RationalFunction":
         # first lemma: A/D + p = (A + p*D)/D is already normal, since
-        # whatever divides D and A + p*D divides A, and D keeps its sign
-        num_a, num_p, common = self._split_numerators(p)
-        num = num_a + num_p * self._rden
+        # whatever divides D and A + p*D divides A, and D keeps its sign;
+        # p's own f_j go onto D by shift and add, after p's residual if not 1
+        own_a, own_p, common = self._split_exps(p)
+        pd = self._rden if p._rnum == ONE else p._rnum * self._rden
+        num = _times_factors(self._rnum, own_a) + _times_factors(pd, own_p)
         if num.is_zero:
             return RationalFunction._from_normal(ZERO, ONE, {})
         return RationalFunction._from_normal(num, self._rden, {j: e for j, e in common.items() if e})
@@ -786,7 +784,8 @@ class RationalFunction:
         if not same_split and self._den_degrees() == o._den_degrees() and self.den == o.den:
             # equal denominators split differently: a residual hides a known factor
             return RationalFunction(self.num + o.num, self.den)
-        num_a, num_b, common = self._split_numerators(o)
+        own_a, own_b, common = self._split_exps(o)
+        num_a, num_b = _times_factors(self._rnum, own_a), _times_factors(o._rnum, own_b)
         if same_split and self._rden == o._rden:
             return RationalFunction._from_exps(num_a + num_b, common, self._rden)
         return RationalFunction._from_exps(num_a * o._rden + num_b * self._rden, common, self._rden * o._rden)

@@ -22,7 +22,6 @@ from rrcf.core import (
 )
 from rrcf.numeric import NumericPoint, cf_numeric, convergence_demo, series_ratio_entry15
 from rrcf.poly import B, L, ONE, Polynomial, Q, RationalFunction
-from rrcf.qpoch import poch_neg_bq
 
 
 def _report(criterion: str, ok: bool) -> None:
@@ -80,7 +79,11 @@ def test_criterion_4_b0_reduction():
 
 
 def test_criterion_5_al_salam_ismail_relation():
-    ok = all(asi_u(n) == g(n, 1) * poch_neg_bq(1, n) for n in range(1, 11))
+    # (-bq;q)_n, multiplied out factor by factor
+    poch = [ONE]
+    for j in range(1, 11):
+        poch.append(poch[-1] * (ONE + B * Q**j))
+    ok = all(asi_u(n) == g(n, 1) * poch[n] for n in range(1, 11))
     ok = ok and asi_u(0) == RationalFunction(ONE)
     _report("5 asi_u(n) == g(n,1)*(-bq;q)_n, n <= 10, exact", ok)
 

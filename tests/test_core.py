@@ -21,7 +21,7 @@ from rrcf.core import (
     nu,
 )
 from rrcf.poly import B, L, ONE, ZERO, Polynomial, Q, RationalFunction
-from rrcf.qpoch import poch_neg_bq
+from rrcf.qpoch import q_binomial
 
 RF_ONE = RationalFunction(ONE)
 
@@ -154,6 +154,45 @@ def test_sums_match_term_by_term_oracle():
             cases += [(g_difference(n, s), _oracle_g_difference(n, s)) for s in range(0, n)]
         for got, want in cases:
             assert (got.num, got.den) == (want.num, want.den)
+
+
+def _cofactor_g(n, s):
+    # core's sums over the common denominator, with every term's cofactor
+    # multiplied out in full instead of summing in Horner form
+    top = (n - s + 1) // 2
+    num = ZERO
+    for k in range(top + 1):
+        cofactor = _b_factors(s + k, s + top - 1) * _b_factors(n - top + 1, n - k)
+        num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s + 1, k) * cofactor
+    return RationalFunction._factored(num, den_runs=((s, top), (n - top + 1, top)))
+
+
+def _cofactor_g_difference(n, s):
+    top = (n - s + 1) // 2
+    num = ZERO
+    for k in range(1, top + 1):
+        cofactor = _b_factors(s + k + 1, s + top) * _b_factors(n - top + 2, n - k + 1)
+        num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s, k - 1) * cofactor
+    return RationalFunction._factored(num, den_runs=((s, top + 1), (n - top + 2, top - 1)))
+
+
+def _cofactor_asi_u(n):
+    num = ZERO
+    for k in range(n // 2 + 1):
+        num = num + Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k) * _b_factors(k + 1, n - k)
+    return RationalFunction(num)
+
+
+def test_horner_sums_match_cofactor_sums_in_internal_form():
+    # the same numerator over the same runs, so even the split into exponent
+    # map and residuals must agree; odd and even n cover asi_u's middle factor
+    for n in range(0, 15):
+        cases = [(asi_u(n), _cofactor_asi_u(n))]
+        if n > 0:
+            cases += [(g(n, s), _cofactor_g(n, s)) for s in range(0, n + 2)]
+            cases += [(g_difference(n, s), _cofactor_g_difference(n, s)) for s in range(0, n)]
+        for got, want in cases:
+            assert (got._rnum, got._rden, got._exps) == (want._rnum, want._rden, want._exps)
 
 
 def test_g_denominator_is_structured():
@@ -321,7 +360,7 @@ def test_asi_u_one_by_direct_expansion():
 
 def test_asi_relation():
     for n in range(1, 11):
-        assert asi_u(n) == g(n, 1) * poch_neg_bq(1, n)
+        assert asi_u(n) == g(n, 1) * _b_factors(1, n)
 
 
 def test_asi_rejects_negative_n():

@@ -25,11 +25,19 @@ from rrcf.poly import (
     RationalFunction,
     _normalize_content,
 )
-from rrcf.qpoch import poch_neg_bq, q_binomial
+from rrcf.qpoch import q_binomial
 
 
 def f(j):
     return ONE + B * Q**j
+
+
+def poch_neg_bq(m, k):
+    # (-bq^m;q)_k = f_m ... f_(m+k-1), multiplied out factor by factor
+    prod = ONE
+    for j in range(m, m + k):
+        prod = prod * f(j)
+    return prod
 
 
 FILTER_POINT = (3, 2, 2)
@@ -348,9 +356,9 @@ def test_factored_runs_are_pochhammer_products():
 
 
 def test_expansions_go_through_the_bounded_product_table():
-    # num and den multiply the known factors back in one (-bq^m;q)_k per run
-    # of consecutive j, read from the bounded product table, and are cached
-    # on the value; no other table grows
+    # num and den multiply the known factors back in, one f_j at a time, and
+    # are cached on the value; the q-binomials read the bounded product
+    # table, and no other table grows
     core._g_cached.cache_clear()
     qpoch._product.cache_clear()
     for n in range(1, 21):

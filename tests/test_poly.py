@@ -18,8 +18,10 @@ from rrcf.poly import (
     Q,
     RationalFunction,
     ZERO,
+    _factor,
     _factor_divides,
     _q_factor_divides,
+    _times_factor,
     _vanishes_at_factor_roots,
 )
 
@@ -80,6 +82,31 @@ def test_one_term_product_is_a_key_shift(p, mono, c):
     m = Polynomial({mono: c})
     assert p * m == _mul_by_loop(p, m)
     assert m * p == _mul_by_loop(m, p)
+
+
+@given(p=polynomials, r=polynomials, j=st.integers(0, 6))
+@settings(max_examples=150)
+def test_times_factor_is_the_general_product(p, r, j):
+    # the shift-and-add kernel against the double loop, on the empty
+    # polynomial, j = 0 and operands whose terms cancel, such as (1-b*q^j)*f_j
+    for x in (p, r * (ONE - B * Q**j), ZERO, ONE - B * Q**j):
+        assert _times_factor(x, j)._terms == _mul_by_loop(x, _factor(j))._terms
+
+
+def test_times_factor_cancels_to_fewer_terms():
+    assert _times_factor(ONE - B * Q**3, 3) == ONE - B**2 * Q**6
+    assert _times_factor(ONE - B, 0) == ONE - B**2
+    assert _times_factor(ZERO, 2).is_zero
+
+
+@given(mono=monomials, c=coefficients.filter(bool), n=st.integers(0, 5))
+@settings(max_examples=100)
+def test_one_term_power_is_repeated_product(mono, c, n):
+    m = Polynomial({mono: c})
+    prod = ONE
+    for _ in range(n):
+        prod = _mul_by_loop(prod, m)
+    assert (m**n)._terms == prod._terms
 
 
 def test_pow_zero_is_one_even_for_zero():

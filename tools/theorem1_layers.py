@@ -1,35 +1,44 @@
-"""Time each layer of theorem1 at single depths, with empty memo tables.
+"""Time each layer of theorem1 at single depths, each depth in a fresh process.
 
-    python3 tools/theorem1_layers.py [--src DIR] 12 16 20
+    python3 tools/theorem1_layers.py [--src DIR] 32 40 52
 
-For each depth n: g(n, 0), g(n, 1), the ratio (1+b) g(n,0)/g(n,1), the
-backward fraction, the forward recurrence and ``compare``, in seconds, plus
-the term counts of the ratio's numerator and denominator.  Every layer's
-time is the smallest of ``REPEAT`` runs, each started from empty memo
-tables.  ``--src`` points at the ``src`` directory of another checkout, so
-the same script times an older revision.  Prints one JSON object.
+For each depth n, a new child process imports rrcf, so every memo table
+starts empty, and times g(n, 0), g(n, 1), the ratio (1+b) g(n,0)/g(n,1),
+the backward fraction and ``compare``, in seconds.  Their sum is the
+``theorem1_s`` total, and ``peak_rss_mb`` is the child's peak resident set
+size when ``compare`` returns.  The forward recurrence is timed after that,
+outside the total and the memory figure.  The term counts of the ratio's
+numerator and denominator are reported too.  Each depth is one run, so
+compare two revisions run back to back on the same host.  ``--src`` points
+at the ``src`` directory of another checkout, so the same script times an
+older revision.  Prints one JSON object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-REPEAT = 3
+THEOREM1_LAYERS = ("g0", "g1", "ratio", "backward", "compare")
 
 
-def time_depth(n: int, core, qpoch, verify, poly) -> dict:
-    core._g_cached.cache_clear()
-    qpoch._product.cache_clear()
+def time_depth(n: int, src: str) -> dict:
+    """Run in the child: time theorem1's layers and the forward recurrence at depth n."""
+    sys.path.insert(0, src)
+    from rrcf import core, poly, verify
+
     times = {}
 
     def timed(name, fn):
         t = time.perf_counter()
         value = fn()
-        times[name] = time.perf_counter() - t
+        times[name] = round(time.perf_counter() - t, 4)
         return value
 
     g0 = timed("g0", lambda: core.g(n, 0))
@@ -37,11 +46,18 @@ def time_depth(n: int, core, qpoch, verify, poly) -> dict:
     lhs = timed("ratio", lambda: (poly.ONE + poly.B) * g0 / g1)
     spec = core.CFSpec.standard(n)
     rhs = timed("backward", lambda: core.cf_finite_backward(spec))
-    timed("forward", lambda: core.cf_convergents_forward(spec))
     equal, _ = timed("compare", lambda: verify.compare(lhs, rhs))
     if not equal:
-        raise SystemExit(f"theorem1 fails at n = {n}")
-    return {"times": times, "num_terms": len(lhs.num), "den_terms": len(lhs.den)}
+        raise RuntimeError(f"theorem1 fails at n = {n}")
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    timed("forward", lambda: core.cf_convergents_forward(spec))
+    return {
+        "s": times,
+        "theorem1_s": round(sum(times[k] for k in THEOREM1_LAYERS), 4),
+        "peak_rss_mb": round(peak_kb / 1024, 1),
+        "num_terms": len(lhs.num),
+        "den_terms": len(lhs.den),
+    }
 
 
 def main() -> int:
@@ -49,17 +65,13 @@ def main() -> int:
     parser.add_argument("depths", type=int, nargs="+")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     args = parser.parse_args()
-    sys.path.insert(0, str(args.src))
-    from rrcf import core, poly, qpoch, verify
 
+    spawn = multiprocessing.get_context("spawn")
     out = {}
     for n in args.depths:
-        runs = [time_depth(n, core, qpoch, verify, poly) for _ in range(REPEAT)]
-        out[str(n)] = {
-            "s": {k: round(min(r["times"][k] for r in runs), 4) for k in runs[0]["times"]},
-            "num_terms": runs[0]["num_terms"],
-            "den_terms": runs[0]["den_terms"],
-        }
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            out[str(n)] = pool.submit(time_depth, n, str(args.src.resolve())).result()
+        print(f"n = {n}: {out[str(n)]['theorem1_s']} s", file=sys.stderr, flush=True)
     print(json.dumps(out, indent=1))
     return 0
 
