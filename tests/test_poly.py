@@ -93,12 +93,6 @@ def test_times_factor_is_the_general_product(p, r, j):
         assert _times_factor(x, j)._terms == _mul_by_loop(x, _factor(j))._terms
 
 
-def test_times_factor_cancels_to_fewer_terms():
-    assert _times_factor(ONE - B * Q**3, 3) == ONE - B**2 * Q**6
-    assert _times_factor(ONE - B, 0) == ONE - B**2
-    assert _times_factor(ZERO, 2).is_zero
-
-
 @given(mono=monomials, c=coefficients.filter(bool), n=st.integers(0, 5))
 @settings(max_examples=100)
 def test_one_term_power_is_repeated_product(mono, c, n):

@@ -1,9 +1,7 @@
 """q-rising factorials on shifted bases, and the Gaussian binomial.
 
-The products (-bq^m;q)_k are no longer a function of rrcf.qpoch: the
-library forms them only when it expands a rational function's known
-factors, one factor at a time (``rrcf.poly._times_factors``), and that is
-the expansion tested here.
+The products (-bq^m;q)_k are tested as the library forms them: expanding a
+rational function's known factors one at a time (``rrcf.poly._times_factors``).
 """
 
 import math
