@@ -12,40 +12,37 @@ Rational functions are quotients of two polynomials, kept in a normal form:
   content 1;
 * the denominator's coefficient at its lexicographically smallest monomial
   (ordering q, then l, then b) is positive;
-* common factors from the structured set ``{1 - q^j, 1 + b*q^j}`` are
-  cancelled.
+* every common factor ``f_j = 1 + b*q^j`` is cancelled.
 
-No general multivariate gcd is performed: every denominator built by this
-library is a product of structured factors, and equality is decided by
-cross-multiplication, so correctness never depends on how far a quotient
-was reduced.
+No other common factor is looked for, and no general multivariate gcd is
+performed: every denominator built by this library is a product of f_j
+(a q-binomial is a polynomial, so no 1 - q^j reaches a denominator), and
+equality is decided by cross-multiplication, so correctness never depends
+on how far a quotient was reduced.  A quotient built by hand, such as
+``(1 - q^2)/(1 - q)``, keeps its common factor and still equals ``1 + q``.
 
 Internally a rational function is ``res_num * prod f_j^e / res_den`` over
 the factors ``f_j = 1 + b*q^j``: a signed exponent map ``{j: e}`` and one
 residual polynomial per side.  Callers that know their denominators (the
 g sums of :mod:`rrcf.core`) hand their factors over as runs (m, k) of
-(-bq^m;q)_k, and an operand that is exactly some f_j becomes ``{j: 1}``.  Normalisation then
-takes three steps:
+(-bq^m;q)_k, and an operand that is exactly some f_j becomes ``{j: 1}``.
+After the content is divided out, normalisation takes two steps:
 
 1. the exponents of each f_j on the two sides are summed, so known factors
    cancel by counting;
 2. each f_j is cancelled to the smaller of its multiplicities on the two
-   sides, taking from the exponent map first and then from the residuals;
-3. each common 1 - q^j is divided out of the residuals, for descending j
-   (``_cancel_structured``), unless the residual denominator is a constant.
+   sides, taking from the exponent map first and then from the residuals.
 
 Divisibility is decided exactly, in one pass over a residual's terms,
 before anything is divided: f_j divides P exactly when P vanishes at
-b = -q^-j, and 1 - q^j divides P exactly when P with its q-exponents
-reduced mod j is zero.  Two screens rule out a whole family at once: every
-f_j vanishes at q = 1, b = -1, and every 1 - q^j is a multiple of 1 - q.
+b = -q^-j.  One screen rules out the whole family at once: every f_j
+vanishes at q = 1, b = -1.
 
-The f_j are irreducible, pairwise coprime and coprime to every 1 - q^k, so
-the expanded ``num`` and ``den`` are the same polynomials that cancelling
-the structured factors of the fully expanded products gives.  A polynomial
-input is the case of an empty map, which takes the same path.  ``num`` and
-``den`` are expanded on first use, one f_j at a time by shift and add, and
-cached on the value.  Equality compares the internal forms, then the
+The f_j are irreducible and pairwise coprime, so the expanded ``num`` and
+``den`` are the same polynomials that cancelling every common f_j of the
+fully expanded products gives.  A polynomial input is the case of an
+empty map, which takes the same path.  ``num`` and ``den`` are expanded on
+first use, one f_j at a time by shift and add, and cached on the value.  Equality compares the internal forms, then the
 expanded ``num`` and ``den``, and cross-multiplies only when both differ.
 
 Two lemmas let the operations that build the continued fraction (each level
@@ -54,12 +51,12 @@ of ``core.cf_finite_backward`` and of the recursion descent is
 already normal when the operand ``x = A/D`` is:
 
 * a sum with a polynomial p (residual denominator 1, no negative
-  exponent): ``x + p = (A + p*D)/D``.  A structured factor or an integer
-  that divides D and A + p*D divides A too, and D keeps its sign; the
-  common f_j are taken out as in every sum.
-* a product or quotient with a monomial m: every structured factor has
-  constant term 1, so none divides m.  Only the content and, when m or A
-  moves into the denominator, the sign are left to fix.
+  exponent): ``x + p = (A + p*D)/D``.  An f_j or an integer that divides
+  D and A + p*D divides A too, and D keeps its sign; the common f_j are
+  taken out as in every sum.
+* a product or quotient with a monomial m: every f_j has constant term 1,
+  so none divides m.  Only the content and, when m or A moves into the
+  denominator, the sign are left to fix.
 
 ``Fraction`` enters only as a ``RationalFunction`` scalar, as a constructor
 argument or an arithmetic operand; it is split there into an integer
@@ -507,46 +504,6 @@ def _vanishes_at_factor_roots(p: Polynomial) -> bool:
     return not any(acc.values())
 
 
-def _q_factor_divides(j: int, p: Polynomial) -> bool:
-    """Whether 1 - q^j divides p, decided in one pass over p's terms.
-
-    q^j - 1 is monic in q, so the remainder of p by it over Z[l, b][q] is p
-    with every q-exponent reduced mod j; it divides p exactly when that
-    remainder is zero.  j = 1 screens the whole family, since every
-    1 - q^j is a multiple of 1 - q.
-    """
-    acc: dict[tuple, int] = {}
-    for (eq, el, eb), c in p._terms.items():
-        key = (eq % j, el, eb)
-        acc[key] = acc.get(key, 0) + c
-    return not any(acc.values())
-
-
-def _is_unit(p: Polynomial) -> bool:
-    """Whether p is a nonzero constant, which no structured factor divides."""
-    return len(p) <= 1 and p.constant_coeff != 0
-
-
-def _cancel_structured(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Divide out the common factors 1 - q^j of num and den.
-
-    For descending j, so that e.g. a common (1-q^2) is taken out whole
-    instead of losing its (1-q) part and stranding the (1+q) cofactor, and
-    while den's q-degree is at least j.  Each divisibility is decided by
-    ``_q_factor_divides`` behind the family screen (1 - q divides both), so
-    ``exact_div`` is called only on a factor that divides.
-    """
-    if not (_q_factor_divides(1, den) and _q_factor_divides(1, num)):
-        return num, den
-    dq = den.degree("q")
-    for j in range(dq, 0, -1):
-        while dq >= j and _q_factor_divides(j, den) and _q_factor_divides(j, num):
-            factor = Polynomial._raw({_UNIT_MONO: 1, (j, 0, 0): -1})
-            num, den = num.exact_div(factor), den.exact_div(factor)
-            dq -= j
-    return num, den
-
-
 def _normal_form(
     num: Polynomial, den: Polynomial, exps: Mapping[int, int]
 ) -> tuple[Polynomial, Polynomial, dict[int, int]]:
@@ -557,14 +514,13 @@ def _normal_form(
     cancels each f_j to the smaller of its multiplicities on the two sides,
     taking from the exponent map first and then from the residuals; a
     residual is tested for f_j only when it passes the family screen, and
-    then by ``_factor_divides``.  Step 3 is ``_cancel_structured`` on the
-    residual pair, skipped when the residual denominator is a constant.
-    Then the sign rule.
+    then by ``_factor_divides``.  Then the sign rule.  No other common
+    factor, 1 - q^j included, is looked for.
 
     Expanded, the result is the normal form of the expanded input: the f_j
-    are irreducible, pairwise coprime and coprime to every 1 - q^k, so
-    moving them out of the residuals changes neither which structured
-    factors are common nor the joint content (each f_j has content 1).
+    are irreducible and pairwise coprime, so moving them out of the
+    residuals changes neither which f_j are common nor the joint content
+    (each f_j has content 1).
     """
     if den.is_zero:
         raise DivisionByZero("rational function with zero denominator")
@@ -599,11 +555,9 @@ def _normal_form(
     for j in range(res[1].degree("q"), -1, -1):
         if j not in exps:
             cancel(j, 0)
-    # the structured factors have content 1, so by Gauss's lemma
-    # cancelling them leaves the joint content at 1
+    # each f_j has content 1, so by Gauss's lemma cancelling them leaves
+    # the joint content at 1
     num, den = res
-    if not _is_unit(den):
-        num, den = _cancel_structured(num, den)
     if den.trailing()[1] < 0:
         num, den = -num, -den
     return num, den, kept
@@ -763,7 +717,7 @@ class RationalFunction:
 
     @staticmethod
     def _with_monomial(num: Polynomial, den: Polynomial, exps: dict[int, int]) -> "RationalFunction":
-        # second lemma: no structured factor divides a monomial, so a normal
+        # second lemma: no f_j divides a monomial, so a normal
         # form with one side multiplied by a monomial needs only content and sign
         if num.is_zero:
             return RationalFunction._from_normal(ZERO, ONE, {})

@@ -114,11 +114,14 @@ def _b_factors(lo, hi):
 
 
 def _oracle_g(n, s):
+    # each term's q-binomial is divided out here: the normal form cancels
+    # only the factors 1 + b*q^j
     total = RationalFunction(ZERO)
     for k in range((n - s + 1) // 2 + 1):
+        binomial = _q_factors(n - 2 * k - s + 2, n - k - s + 1).exact_div(_q_factors(1, k))
         total = total + RationalFunction(
-            Polynomial.monomial(k * k + s * k, k) * _q_factors(n - 2 * k - s + 2, n - k - s + 1),
-            _q_factors(1, k) * _b_factors(s, s + k - 1) * _b_factors(n - k + 1, n),
+            Polynomial.monomial(k * k + s * k, k) * binomial,
+            _b_factors(s, s + k - 1) * _b_factors(n - k + 1, n),
         )
     return total
 
@@ -126,9 +129,10 @@ def _oracle_g(n, s):
 def _oracle_g_difference(n, s):
     total = RationalFunction(ZERO)
     for k in range(1, (n - s + 1) // 2 + 1):
+        binomial = _q_factors(n - 2 * k - s + 2, n - k - s).exact_div(_q_factors(1, k - 1))
         total = total + RationalFunction(
-            Polynomial.monomial(k * k + s * k, k) * _q_factors(n - 2 * k - s + 2, n - k - s),
-            _q_factors(1, k - 1) * _b_factors(s, s + k) * _b_factors(n - k + 2, n),
+            Polynomial.monomial(k * k + s * k, k) * binomial,
+            _b_factors(s, s + k) * _b_factors(n - k + 2, n),
         )
     return total
 
@@ -136,9 +140,10 @@ def _oracle_g_difference(n, s):
 def _oracle_asi_u(n):
     total = RationalFunction(ZERO)
     for k in range(n // 2 + 1):
+        binomial = _q_factors(n - 2 * k + 1, n - k).exact_div(_q_factors(1, k))
         total = total + RationalFunction(
-            Polynomial.monomial(k * k + k, k) * _q_factors(n - 2 * k + 1, n - k) * _b_factors(1, n - k),
-            _q_factors(1, k) * _b_factors(1, k),
+            Polynomial.monomial(k * k + k, k) * binomial * _b_factors(1, n - k),
+            _b_factors(1, k),
         )
     return total
 
@@ -344,6 +349,36 @@ def test_recursion_one_level():
                 (ONE + B * Q ** (s + 1)) * g(n, s + 1)
             )
             assert lhs == rhs
+
+
+def _q_factor_divides(j, p):
+    # q^j - 1 is monic in q, so p's remainder by it is p with every
+    # q-exponent reduced mod j; 1 - q^j divides p exactly when that is zero
+    rem = {}
+    for (eq, el, eb), c in p._terms.items():
+        key = (eq % j, el, eb)
+        rem[key] = rem.get(key, 0) + c
+    return not any(rem.values())
+
+
+def test_identity_values_share_no_q_factor():
+    # The normal form cancels only the factors 1 + b*q^j, so no value the
+    # identities print may have a common 1 - q^j left to cancel.  The sums'
+    # denominators are products of 1 + b*q^j, which 1 - q^j does not divide.
+    # The convergent, the backward fraction and each ratio R_s (the fraction
+    # from level s down) have numerator and denominator P_n, Q_n of a
+    # continued fraction, and the determinant identity
+    # P_n Q_(n-1) - P_(n-1) Q_n = +-l^n q^(n(n+1)/2) makes gcd(P_n, Q_n)
+    # divide a monomial.
+    for n in range(1, 13):
+        values = [asi_u(n), convergent(n), cf_finite_backward(CFSpec.standard(n))]
+        values += [g(n, s) for s in range(n + 2)]
+        values += [g_difference(n, s) for s in range(n)]
+        values += [(ONE + B * Q**s) * g(n, s) / g(n, s + 1) for s in range(n + 1)]
+        for value in values:
+            num, den = value.num, value.den
+            for j in range(1, den.degree("q") + 1):
+                assert not (_q_factor_divides(j, den) and _q_factor_divides(j, num)), (n, j, str(value))
 
 
 # -- Al-Salam-Ismail -------------------------------------------------------------

@@ -4,15 +4,17 @@
 every result is normalised from the expanded cross products by
 ``_normalize_content``, then ``trial_cancel``, then the sign rule, and a
 sum uses the shared denominator only when the two denominators are equal.
-``trial_cancel`` finds the structured factors by a value screen and trial
-division, independently of the exact divisibility tests of ``rrcf.poly``.
-The factored arithmetic must give the very same ``num`` and ``den``.
+``trial_cancel`` finds the common factors ``f_j = 1 + b*q^j`` by a value
+screen and trial division, independently of the exact divisibility tests
+of ``rrcf.poly``; like the library's normal form, it looks for no other
+common factor, so a common 1 - q^j stays on both sides.  The factored
+arithmetic must give the very same ``num`` and ``den``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrcf import core, poly, qpoch, verify
+from rrcf import core, qpoch, verify
 from rrcf.core import g, g_difference
 from rrcf.poly import (
     B,
@@ -40,6 +42,7 @@ def poch_neg_bq(m, k):
     return prod
 
 
+# (q, l, b) at which the value screen of trial_cancel evaluates
 FILTER_POINT = (3, 2, 2)
 
 
@@ -48,23 +51,21 @@ def is_unit(p):
 
 
 def trial_cancel(num, den):
-    """Divide out common factors (1 - q^j) and (1 + b*q^j) from num and den.
+    """Divide out every common factor 1 + b*q^j from num and den.
 
     A factor that divides num and den has a value at FILTER_POINT that
-    divides both of theirs; no candidate vanishes there (|1 + 2*3^j| >= 3,
-    |1 - 3^j| >= 2), so the value screen is a valid necessary condition,
-    and only candidates that pass it are tried by exact division.  The
-    candidates are 1 + b*q^j for descending j >= 0, then 1 - q^j for
-    descending j >= 1, each while den's q-degree is at least j.
+    divides both of theirs; no candidate vanishes there (|1 + 2*3^j| >= 3),
+    so the value screen is a valid necessary condition, and only candidates
+    that pass it are tried by exact division.  The candidates are 1 + b*q^j
+    for descending j >= 0, each while den's q-degree is at least j.
     """
     if is_unit(den):
         return num, den
     num_val, den_val = num.eval_exact(*FILTER_POINT), den.eval_exact(*FILTER_POINT)
     fq, _, fb = FILTER_POINT
     dq = den.degree("q")
-    candidates = [(j, f(j), 1 + fb * fq**j) for j in range(dq, -1, -1)]
-    candidates += [(j, ONE - Q**j, fq**j - 1) for j in range(dq, 0, -1)]
-    for j, factor, f_val in candidates:
+    for j in range(dq, -1, -1):
+        factor, f_val = f(j), 1 + fb * fq**j
         while dq >= j:
             if num_val % f_val or den_val % f_val:
                 break
@@ -294,17 +295,16 @@ def test_polynomial_and_monomial_shortcuts_match_expanded(data):
 
 def test_backward_fraction_does_no_trial_division(monkeypatch):
     # every level is a polynomial plus a monomial over the tail, so
-    # cf_finite_backward never reaches _cancel_structured
+    # cf_finite_backward never divides anything out
     calls = []
-    cancel, exact_div = poly._cancel_structured, Polynomial.exact_div
-    monkeypatch.setattr(poly, "_cancel_structured", lambda *a: calls.append("cancel") or cancel(*a))
+    exact_div = Polynomial.exact_div
     monkeypatch.setattr(Polynomial, "exact_div", lambda p, d: calls.append("exact_div") or exact_div(p, d))
     spec = core.CFSpec.standard(12)
     value = core.cf_finite_backward(spec)
     assert calls == []
-    # the counters see the general path
-    RationalFunction(ONE - Q**2, ONE - Q)
-    assert "cancel" in calls and "exact_div" in calls
+    # the counter sees the general path, which divides out the common 1+bq
+    RationalFunction(f(1) * (ONE + L), f(1) * (ONE - L))
+    assert "exact_div" in calls
     monkeypatch.undo()
     assert_same(value, expanded_backward(12))
 
