@@ -42,8 +42,9 @@ The f_j are irreducible and pairwise coprime, so the expanded ``num`` and
 ``den`` are the same polynomials that cancelling every common f_j of the
 fully expanded products gives.  A polynomial input is the case of an
 empty map, which takes the same path.  ``num`` and ``den`` are expanded on
-first use, one f_j at a time by shift and add, and cached on the value.  Equality compares the internal forms, then the
-expanded ``num`` and ``den``, and cross-multiplies only when both differ.
+first use, one f_j at a time by shift and add, and cached on the value.
+Equality compares the internal forms, then the expanded ``num`` and
+``den``, and cross-multiplies only when both differ.
 
 Two lemmas let the operations that build the continued fraction (each level
 of ``core.cf_finite_backward`` and of the recursion descent is
