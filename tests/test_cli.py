@@ -283,17 +283,19 @@ def test_text_output_byte_stable(capsys):
 
 # sha256 of the exit code and output of every command in _golden_commands:
 # it pins the printed normal forms and verify reports byte for byte
-GOLDEN_DIGEST = "e89363333cceee75a310da9f3c62586ca30f4c4f487a63d88666756ce8dccd03"
+GOLDEN_DIGEST = "e5f0ce4416c9e3a60ea5712499f9fe0b961914328c54d37a1382534c78472a89"
 
 
 def _golden_commands():
-    for n in range(1, 9):
+    for n in range(1, 13):
+        yield ("convergent", "--n", str(n))
         yield ("convergent", "--n", str(n), "--format", "json")
         for s in range(n + 2):
             yield ("series", "--which", "g", "--n", str(n), "--s", str(s))
         for which in ("mu", "nu", "asi"):
             yield ("series", "--which", which, "--n", str(n))
     yield ("verify", "--suite", "all", "--n-max", "6", "--format", "json")
+    yield ("verify", "--suite", "all", "--n-max", "10")
 
 
 def test_outputs_match_golden_digest(capsys):
