@@ -269,6 +269,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
+        if type(n) is not int:  # as for a monomial's exponents: a bool or a float is rejected
+            raise TypeError(f"exponent {n!r} is not an int")
         if n < 0:
             raise ValueError("negative powers are not polynomials; use RationalFunction")
         if len(self._terms) == 1:  # c^n q^(n*eq) l^(n*el) b^(n*eb), built directly

@@ -107,6 +107,15 @@ def test_pow_zero_is_one_even_for_zero():
     assert (Q + L) ** 0 == ONE
 
 
+@pytest.mark.parametrize("base", [Q, Q + L], ids=["one_term", "multi_term"])
+@pytest.mark.parametrize("n", [2.5, 2.0, Fraction(1, 2), True], ids=repr)
+def test_pow_rejects_non_int_exponent(base, n):
+    # the one-term branch builds keys directly, so it must not see a float
+    # or bool exponent: q^2.5 would print, and 2.0 would become a key
+    with pytest.raises(TypeError):
+        base**n
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         Polynomial({(-1, 0, 0): 1})
