@@ -12,39 +12,45 @@ Rational functions are quotients of two polynomials, kept in a normal form:
   content 1;
 * the denominator's coefficient at its lexicographically smallest monomial
   (ordering q, then l, then b) is positive;
-* every common factor ``f_j = 1 + b*q^j`` is cancelled.
+* every factor ``f_j = 1 + b*q^j`` that the value names (see below) and
+  that the other side also holds is cancelled.
 
 No other common factor is looked for, and no general multivariate gcd is
-performed: every denominator built by this library is a product of f_j
-(a q-binomial is a polynomial, so no 1 - q^j reaches a denominator), and
-equality is decided by cross-multiplication, so correctness never depends
-on how far a quotient was reduced.  A quotient built by hand, such as
-``(1 - q^2)/(1 - q)``, keeps its common factor and still equals ``1 + q``.
+performed: every denominator built by this library is a known product of
+f_j (a q-binomial is a polynomial, so no 1 - q^j reaches a denominator),
+and equality is decided by cross-multiplication, so correctness never
+depends on how far a quotient was reduced.  A quotient built by hand, such
+as ``(1 - q^2)/(1 - q)`` or ``((1 + b*q^2)(1 + l))/((1 + b*q^2)(1 - l))``,
+keeps its common factor and still equals ``1 + q`` or ``(1 + l)/(1 - l)``.
 
 Internally a rational function is ``res_num * prod f_j^e / res_den`` over
 the factors ``f_j = 1 + b*q^j``: a signed exponent map ``{j: e}`` and one
-residual polynomial per side.  Callers that know their denominators (the
-g sums of :mod:`rrcf.core`) hand their factors over as runs (m, k) of
-(-bq^m;q)_k, and an operand that is exactly some f_j becomes ``{j: 1}``.
-After the content is divided out, normalisation takes two steps:
+residual polynomial per side.  The map holds the f_j a value names.
+Callers that know their denominators (the g sums of :mod:`rrcf.core`) hand
+their factors over as runs (m, k) of (-bq^m;q)_k, and an operand that is
+an integer multiple of some f_j names that f_j, ``{j: 1}``.  After the
+content is divided out, normalisation takes two steps:
 
-1. the exponents of each f_j on the two sides are summed, so known factors
+1. the exponents of each f_j on the two sides are summed, so named factors
    cancel by counting;
-2. each f_j is cancelled to the smaller of its multiplicities on the two
-   sides, taking from the exponent map first and then from the residuals.
+2. each f_j that the map still names, with e != 0, is cancelled against
+   the other side's residual as long as it divides it.  An f_j that only
+   the residuals hold is not looked for.
 
 Divisibility is decided exactly, in one pass over a residual's terms,
 before anything is divided: f_j divides P exactly when P vanishes at
 b = -q^-j.  One screen rules out the whole family at once: every f_j
 vanishes at q = 1, b = -1.
 
-The f_j are irreducible and pairwise coprime, so the expanded ``num`` and
-``den`` are the same polynomials that cancelling every common f_j of the
-fully expanded products gives.  A polynomial input is the case of an
-empty map, which takes the same path.  ``num`` and ``den`` are expanded on
-first use, one f_j at a time by shift and add, and cached on the value.
-Equality compares the internal forms, then the expanded ``num`` and
-``den``, and cross-multiplies only when both differ.
+The f_j are irreducible and pairwise coprime, so when every f_j common to
+the two sides is named, the expanded ``num`` and ``den`` are the same
+polynomials that cancelling every common f_j of the fully expanded
+products gives; every value the identities build is such a value.  A
+polynomial input is the case of an empty map, which takes the same path.
+``num`` and ``den`` are expanded on first use, one f_j at a time by shift
+and add, and cached on the value.  Equality compares the internal forms,
+then the expanded ``num`` and ``den``, and cross-multiplies only when both
+differ.
 
 Two lemmas let the operations that build the continued fraction (each level
 of ``core.cf_finite_backward`` and of the recursion descent is
@@ -450,12 +456,13 @@ def _factor(j: int) -> Polynomial:
 
 
 def _factor_index(p: Polynomial) -> int | None:
-    """j if p is exactly f_j = 1 + b*q^j, else None."""
+    """j if p is an integer multiple c*f_j = c + c*b*q^j, else None."""
     t = p._terms
-    if len(t) != 2 or t.get(_UNIT_MONO) != 1:
+    c = t.get(_UNIT_MONO)
+    if len(t) != 2 or c is None:
         return None
-    for (eq, el, eb), c in t.items():
-        if (el, eb, c) == (0, 1, 1):
+    for (eq, el, eb), d in t.items():
+        if (el, eb, d) == (0, 1, c):
             return eq
     return None
 
@@ -513,24 +520,19 @@ def _normal_form(
     """Normal form of num * prod f_j^e / den, as (residual num, residual den, exponents).
 
     The caller has already summed the exponents of each f_j into one signed
-    e, so known factors on the two sides have cancelled (step 1).  Step 2
-    cancels each f_j to the smaller of its multiplicities on the two sides,
-    taking from the exponent map first and then from the residuals; a
-    residual is tested for f_j only when it passes the family screen, and
-    then by ``_factor_divides``.  Then the sign rule.  No other common
-    factor, 1 - q^j included, is looked for.
-
-    Expanded, the result is the normal form of the expanded input: the f_j
-    are irreducible and pairwise coprime, so moving them out of the
-    residuals changes neither which f_j are common nor the joint content
-    (each f_j has content 1).
+    e, so factors named on both sides have cancelled by counting (step 1).
+    Step 2 cancels each f_j the map still names (e != 0) against the other
+    side's residual, as long as it divides it: a residual is tested only
+    when it passes the family screen, and then by ``_factor_divides``.
+    Then the sign rule.  No other common factor is looked for: an f_j that
+    only the two residuals hold stays on both sides, as does a 1 - q^j.
     """
     if den.is_zero:
         raise DivisionByZero("rational function with zero denominator")
     if num.is_zero:
         return ZERO, ONE, {}
     res = list(_normalize_content(num, den))
-    # whether res[i] passes the f_j screen, computed when first needed; a
+    # whether res[i] passes the family screen, computed when first needed; a
     # pass only lets the exact test run, so a division need not redo it
     screen: list[bool | None] = [None, None]
 
@@ -539,25 +541,15 @@ def _normal_form(
             screen[i] = _vanishes_at_factor_roots(res[i])
         return bool(screen[i]) and _factor_divides(j, res[i])
 
-    def cancel(j: int, e: int) -> int:
-        # a side holds f_j in the map (the sign of e) or in its residual
-        while (e < 0 or holds(1, j)) and (e > 0 or holds(0, j)):
-            if e <= 0:
-                res[0] = res[0].exact_div(_factor(j))
-            if e >= 0:
-                res[1] = res[1].exact_div(_factor(j))
-            e += (e < 0) - (e > 0)
-        return e
-
     kept = {}
     for j, e in exps.items():
-        e = cancel(j, e)
+        # f_j^e stands over the denominator's residual when e > 0, the numerator's when e < 0
+        i, step = (1, -1) if e > 0 else (0, 1)
+        while e and holds(i, j):
+            res[i] = res[i].exact_div(_factor(j))
+            e += step
         if e:
             kept[j] = e
-    # an f_j outside the map can only be common to the two residuals
-    for j in range(res[1].degree("q"), -1, -1):
-        if j not in exps:
-            cancel(j, 0)
     # each f_j has content 1, so by Gauss's lemma cancelling them leaves
     # the joint content at 1
     num, den = res
@@ -573,12 +565,13 @@ class RationalFunction:
     f_j = 1 + b*q^j: a signed exponent map ``{j: e}`` and one residual
     polynomial on each side.  Factors a caller knows (the ``_factored``
     constructor, which takes runs (m, k) of (-bq^m;q)_k, or an operand that
-    is exactly some f_j) stay in the map, so products, quotients and sums of
-    such values cancel them by exponent arithmetic; everything else lives
-    in the residuals.  The public ``num``
-    and ``den`` multiply the map's factors back in on first use and are
-    cached; they are exactly the normal form of the expanded inputs, so no
-    output depends on how a value was split.
+    is an integer multiple of some f_j) stay in the map, so products,
+    quotients and sums of such values cancel them by exponent arithmetic;
+    a named f_j also cancels against the other side's residual.  Everything
+    else lives in the residuals, and an f_j hidden in both of them stays.
+    The public ``num`` and ``den`` multiply the map's factors back in on
+    first use and are cached; when every common f_j is named they are
+    exactly the normal form of the expanded inputs.
 
     A sum with a polynomial operand and a product or quotient with a
     monomial operand keep the other operand's normal form and skip
@@ -603,13 +596,14 @@ class RationalFunction:
             num = Polynomial.constant(num)
         if not isinstance(den, Polynomial):
             den = Polynomial.constant(den)
+        # an operand c*f_j names its f_j, so that only c is left in the residual
         exps: dict[int, int] = {}
         j = _factor_index(num)
         if j is not None:
-            num, exps[j] = ONE, 1
+            num, exps[j] = Polynomial.constant(num.constant_coeff), 1
         j = _factor_index(den)
         if j is not None:
-            den, exps[j] = ONE, exps.get(j, 0) - 1
+            den, exps[j] = Polynomial.constant(den.constant_coeff), exps.get(j, 0) - 1
         self._rnum, self._rden, self._exps = _normal_form(num, den, exps)
         self._num = self._den = None
 
@@ -681,14 +675,6 @@ class RationalFunction:
     def _den_exps(self) -> dict[int, int]:
         return {j: -e for j, e in self._exps.items() if e < 0}
 
-    def _den_degrees(self) -> tuple[int, int]:
-        # (b-degree, q-degree) of den, without expanding it
-        exps = self._den_exps()
-        return (
-            self._rden.degree("b") + sum(exps.values()),
-            self._rden.degree("q") + sum(j * e for j, e in exps.items()),
-        )
-
     def _is_polynomial(self) -> bool:
         return self._rden == ONE and all(e > 0 for e in self._exps.values())
 
@@ -737,13 +723,9 @@ class RationalFunction:
             return self._plus_polynomial(o)
         if self._is_polynomial():
             return o._plus_polynomial(self)
-        same_split = self._den_exps() == o._den_exps()
-        if not same_split and self._den_degrees() == o._den_degrees() and self.den == o.den:
-            # equal denominators split differently: a residual hides a known factor
-            return RationalFunction(self.num + o.num, self.den)
         own_a, own_b, common = self._split_exps(o)
         num_a, num_b = _times_factors(self._rnum, own_a), _times_factors(o._rnum, own_b)
-        if same_split and self._rden == o._rden:
+        if self._den_exps() == o._den_exps() and self._rden == o._rden:
             return RationalFunction._from_exps(num_a + num_b, common, self._rden)
         return RationalFunction._from_exps(num_a * o._rden + num_b * self._rden, common, self._rden * o._rden)
 

@@ -114,14 +114,13 @@ def _b_factors(lo, hi):
 
 
 def _oracle_g(n, s):
-    # each term's q-binomial is divided out here: the normal form cancels
-    # only the factors 1 + b*q^j
+    # each term's q-binomial is divided out here, and its factors 1 + b*q^j
+    # are named as runs: the normal form cancels only the f_j a value names
     total = RationalFunction(ZERO)
     for k in range((n - s + 1) // 2 + 1):
         binomial = _q_factors(n - 2 * k - s + 2, n - k - s + 1).exact_div(_q_factors(1, k))
-        total = total + RationalFunction(
-            Polynomial.monomial(k * k + s * k, k) * binomial,
-            _b_factors(s, s + k - 1) * _b_factors(n - k + 1, n),
+        total = total + RationalFunction._factored(
+            Polynomial.monomial(k * k + s * k, k) * binomial, den_runs=((s, k), (n - k + 1, k))
         )
     return total
 
@@ -130,9 +129,8 @@ def _oracle_g_difference(n, s):
     total = RationalFunction(ZERO)
     for k in range(1, (n - s + 1) // 2 + 1):
         binomial = _q_factors(n - 2 * k - s + 2, n - k - s).exact_div(_q_factors(1, k - 1))
-        total = total + RationalFunction(
-            Polynomial.monomial(k * k + s * k, k) * binomial,
-            _b_factors(s, s + k) * _b_factors(n - k + 2, n),
+        total = total + RationalFunction._factored(
+            Polynomial.monomial(k * k + s * k, k) * binomial, den_runs=((s, k + 1), (n - k + 2, k - 1))
         )
     return total
 
@@ -141,9 +139,8 @@ def _oracle_asi_u(n):
     total = RationalFunction(ZERO)
     for k in range(n // 2 + 1):
         binomial = _q_factors(n - 2 * k + 1, n - k).exact_div(_q_factors(1, k))
-        total = total + RationalFunction(
-            Polynomial.monomial(k * k + k, k) * binomial * _b_factors(1, n - k),
-            _b_factors(1, k),
+        total = total + RationalFunction._factored(
+            Polynomial.monomial(k * k + k, k) * binomial, num_runs=((1, n - k),), den_runs=((1, k),)
         )
     return total
 

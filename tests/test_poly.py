@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rrcf import poly
 from rrcf.core import g
 from rrcf.poly import (
     B,
@@ -310,12 +311,24 @@ def test_rf_zero_denominator_rejected():
         RationalFunction(ONE) / RationalFunction(ZERO)
 
 
-def test_rf_structured_cancellation_reduces():
-    # the common 1 + bq cancels; the common 1 - q^2 is not looked for
-    f = (ONE - Q**2) * (ONE + B * Q)
+def test_rf_structured_cancellation_reduces(monkeypatch):
+    # only a named 1 + b*q^j cancels: the same factor hidden in both
+    # residuals is not even tested for, and a common 1 - q^2 is not looked for
+    calls = []
+    factor_divides = poly._factor_divides
+    monkeypatch.setattr(poly, "_factor_divides", lambda j, p: calls.append(j) or factor_divides(j, p))
+    f2 = ONE + B * Q**2
+    hidden = RationalFunction(f2 * (ONE + L), f2 * (ONE - L))
+    assert (hidden.num, hidden.den) == (f2 * (ONE + L), f2 * (ONE - L))
+    assert hidden == RationalFunction(ONE + L, ONE - L)
+    assert calls == []
+    named = RationalFunction._from_exps(ONE + L, {2: 1}, f2 * (ONE - L))
+    assert (named.num, named.den) == (ONE + L, ONE - L)
+    assert calls == [2]
+    f = ONE - Q**2
     rf = RationalFunction((ONE + L) * f, (ONE + 2 * L) * f)
-    assert rf.num == (ONE + L) * (ONE - Q**2)
-    assert rf.den == (ONE + 2 * L) * (ONE - Q**2)
+    assert rf.num == (ONE + L) * f
+    assert rf.den == (ONE + 2 * L) * f
 
 
 def test_exact_rule_divides_nothing_when_numerator_vanishes_at_a_point(monkeypatch):
@@ -381,6 +394,8 @@ def test_rf_content_and_sign_normalization():
 
 
 @given(num=nonzero_polynomials, den=nonzero_polynomials)
+@example(num=2 * (ONE + B * Q), den=2 * (ONE + B * Q) * (ONE + L))  # content hides an operand f_j
+@example(num=-(ONE + B * Q), den=-(ONE + B * Q) * (ONE + L))  # so does the sign
 @settings(max_examples=100)
 def test_rf_normalization_idempotent(num, den):
     rf = RationalFunction(num, den)
