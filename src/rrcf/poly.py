@@ -532,7 +532,7 @@ def _normal_form(
     if num.is_zero:
         return ZERO, ONE, {}
     res = list(_normalize_content(num, den))
-    # whether res[i] passes the family screen, computed when first needed; a
+    # whether res[i] passes the f_j screen, computed when first needed; a
     # pass only lets the exact test run, so a division need not redo it
     screen: list[bool | None] = [None, None]
 
