@@ -126,6 +126,13 @@ _UNIT_MONO = Monomial(0, 0, 0)
 _VAR_INDEX = {"q": 0, "l": 1, "b": 2}
 
 
+def _var_index(var: str) -> int:
+    try:
+        return _VAR_INDEX[var]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"unknown variable {var!r}: expected q, l or b") from None
+
+
 class Polynomial:
     """Immutable sparse polynomial in q, l, b with integer coefficients."""
 
@@ -188,9 +195,9 @@ class Polynomial:
 
     def degree(self, var: str) -> int:
         """Largest exponent of ``var`` present; -1 for the zero polynomial."""
+        i = _var_index(var)
         if not self._terms:
             return -1
-        i = _VAR_INDEX[var]
         return max(key[i] for key in self._terms)
 
     def trailing(self) -> tuple[Monomial, int]:
@@ -361,9 +368,9 @@ class Polynomial:
 
     def substitute(self, var: str, value: int) -> "Polynomial":
         """Set one variable to an integer constant."""
-        if not isinstance(value, int):
+        if type(value) is not int:  # as in the constructor, a bool is rejected
             raise TypeError(f"substitute takes an int, got {value!r}")
-        i = _VAR_INDEX[var]
+        i = _var_index(var)
         acc: dict[tuple, int] = {}
         for key, c in self._terms.items():
             newkey = list(key)

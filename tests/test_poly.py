@@ -150,6 +150,28 @@ def test_degree_and_substitute():
     assert p.substitute("q", 2) == Polynomial({(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 0): 4})
 
 
+@pytest.mark.parametrize("value", [True, False], ids=repr)
+def test_substitute_rejects_bool(value):
+    # as the constructor does: True is an int, and would act as 1
+    with pytest.raises(TypeError):
+        (ONE + B * Q).substitute("b", value)
+    with pytest.raises(TypeError):
+        RationalFunction(ONE + B * Q, ONE + L).substitute("b", value)
+
+
+@pytest.mark.parametrize("var", ["x", "Q", "", ["q"]], ids=repr)
+@pytest.mark.parametrize("p", [ONE + B * Q, ZERO], ids=["polynomial", "zero"])
+def test_unknown_variable_is_a_value_error(p, var):
+    calls = (
+        lambda: p.substitute(var, 0),
+        lambda: p.degree(var),
+        lambda: RationalFunction(p, ONE + L).substitute(var, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="expected q, l or b"):
+            call()
+
+
 @given(p=polynomials, r=polynomials, s=polynomials)
 @settings(max_examples=150)
 def test_mul_distributes_over_add(p, r, s):
