@@ -21,11 +21,12 @@ with g_n(n) = g_n(n+1) = 1 as the seed and the recursion
 carrying one level of the fraction per step.  At b = 0, g_n(0) and g_n(1)
 reduce to mu_n and nu_n.
 
-The module also evaluates the continued fraction itself, both by the backward
-recurrence and by the classical three-term forward recurrence (an independent
-oracle, cross-checked through the determinant identity), and builds the
-Al-Salam-Ismail orthogonal polynomial U_n(x; a, b) whose specialization
-U_n(1; bq, -l*q^2) equals g_n(1) * (-bq;q)_n.
+The module also evaluates the continued fraction itself, both by the
+classical three-term forward recurrence, whose pairs P_n/Q_n are the
+fractions :mod:`rrcf.verify` checks against, and by the backward recurrence
+(an independent oracle; the determinant identity cross-checks the pairs).
+It builds the Al-Salam-Ismail orthogonal polynomial U_n(x; a, b) whose
+specialization U_n(1; bq, -l*q^2) equals g_n(1) * (-bq;q)_n.
 
 Every term of these sums is a q-binomial over a product of factors
 f_j = 1 + b*q^j whose range is known from the summation index, so each sum
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .poly import B, L, ONE, ZERO, Polynomial, Q, RationalFunction, _times_factor
 from .qpoch import q_binomial
@@ -57,6 +59,7 @@ __all__ = [
     "g",
     "g_difference",
     "cf_finite_backward",
+    "cf_convergents_iter",
     "cf_convergents_forward",
     "convergent",
     "asi_u",
@@ -216,24 +219,30 @@ def cf_finite_backward(spec: CFSpec) -> RationalFunction:
     return t
 
 
-def cf_convergents_forward(spec: CFSpec) -> list[ConvergentPair]:
-    """Convergent pairs (P_j, Q_j) from the three-term forward recurrence.
+def cf_convergents_iter(spec: CFSpec) -> Iterator[ConvergentPair]:
+    """Convergent pairs (P_j, Q_j) for j = 0..depth, from the three-term forward recurrence.
 
     P_{-1} = 1, Q_{-1} = 0, P_0 = leading, Q_0 = 1, and
-    P_j = b_j P_{j-1} + a_j P_{j-2} (Q alike).  P_n/Q_n agrees with
-    cf_finite_backward; the determinant identity
-    P_j Q_{j-1} - P_{j-1} Q_j = (-1)^(j-1) l^j q^(j(j+1)/2) pins both down.
+    P_j = b_j P_{j-1} + a_j P_{j-2} (Q alike).  P_j/Q_j is the depth-j
+    fraction, and agrees with cf_finite_backward; the determinant identity
+    P_j Q_{j-1} - P_{j-1} Q_j = (-1)^(j-1) l^j q^(j(j+1)/2) pins both down
+    and shows that P_j and Q_j are coprime.  The pairs are made lazily, and
+    the generator holds only the current and the previous one.
     """
     p_prev, q_prev = ONE, ZERO
     p_cur, q_cur = spec.leading, ONE
-    pairs = [ConvergentPair(0, p_cur, q_cur)]
+    yield ConvergentPair(0, p_cur, q_cur)
     for j in range(1, spec.depth + 1):
         aj = spec.partial_numerators[j - 1]
         # CFSpec checks that b_j is 1 + b*q^j, so b_j * P is a shift and add
         p_cur, p_prev = _times_factor(p_cur, j) + aj * p_prev, p_cur
         q_cur, q_prev = _times_factor(q_cur, j) + aj * q_prev, q_cur
-        pairs.append(ConvergentPair(j, p_cur, q_cur))
-    return pairs
+        yield ConvergentPair(j, p_cur, q_cur)
+
+
+def cf_convergents_forward(spec: CFSpec) -> list[ConvergentPair]:
+    """Every convergent pair (P_j, Q_j), j = 0..depth, of cf_convergents_iter as a list."""
+    return list(cf_convergents_iter(spec))
 
 
 def convergent(n: int) -> RationalFunction:

@@ -261,6 +261,12 @@ class Polynomial:
             return Polynomial._raw({k: v * other for k, v in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
+        # values are immutable, so a product with 1 is the other operand
+        # itself; ONE * p is p also when p equals 1
+        if other._terms == ONE._terms and self is not ONE:
+            return self
+        if self._terms == ONE._terms:
+            return other
         if not self._terms or not other._terms:
             return ZERO
         a, bt = self._terms, other._terms

@@ -10,9 +10,10 @@ The Gaussian binomial ``[a, k]_q = (q;q)_a / ((q;q)_k (q;q)_(a-k))`` is a
 polynomial in q; it is computed as the exact quotient
 ``(q^(a-k+1);q)_k / (q;q)_k``.
 
-Everything is a pure function of its arguments; the memo table behind the
-products is a thread-safe ``lru_cache`` bounded at ``_PRODUCT_CACHE_SIZE``
-entries, enough for every product that depths n <= 20 use.
+Everything is a pure function of its arguments.  Two memo tables, each a
+thread-safe ``lru_cache`` bounded at ``_PRODUCT_CACHE_SIZE`` entries, hold
+the products and the q-binomials; either bound is enough for every entry
+that depths n <= 20 use, so each exact division is done once per (a, k).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .poly import ONE, Polynomial, Q
 
 __all__ = ["poch_q", "q_binomial"]
 
-# Every g, g_difference, mu, nu and asi_u at depths n <= 20 uses 99 products.
+# Every g, g_difference, mu, nu and asi_u at depths n <= 20 uses 99 products
+# and 131 q-binomials.
 _PRODUCT_CACHE_SIZE = 1024
 
 
@@ -44,6 +46,7 @@ def poch_q(k: int, m: int = 1) -> Polynomial:
     return _product(m, k)
 
 
+@lru_cache(maxsize=_PRODUCT_CACHE_SIZE)
 def q_binomial(a: int, k: int) -> Polynomial:
     """The Gaussian binomial [a, k]_q for 0 <= k <= a, a polynomial in q."""
     if not 0 <= k <= a:

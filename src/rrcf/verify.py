@@ -7,6 +7,12 @@ tolerance), and a failing case records the two cross-product polynomials as
 its witness.  Failures become report entries, never exceptions, so a
 corrupted formula is always visible rather than fatal.
 
+The depth-n continued fraction is the convergent P_n/Q_n of the forward
+recurrence (``core.cf_convergents_iter``).  Each suite that needs it takes
+every depth n = 1..n_max from one pass over ``CFSpec.standard(n_max)``,
+holding only the current and the previous pair; P_n and Q_n are coprime by
+the determinant identity, so ``RationalFunction(P_n, Q_n)`` is reduced.
+
 The suites:
 
 * ``entry16``     mu_n/nu_n against the depth-n continued fraction at b = 0
@@ -14,7 +20,8 @@ The suites:
 * ``recursion``   R_s == 1+bq^s + lq^(s+1)/R_(s+1) for the level ratios
                   R_s = (1+bq^s) g_n(s)/g_n(s+1), each built once; the
                   endpoint seed g_n(n) = g_n(n+1) = 1; and the fraction
-                  rebuilt by iterating the descent n times from R_n
+                  rebuilt by iterating the descent n times from R_n, a
+                  backward evaluation checked against P_n/Q_n
 * ``telescoping`` g_n(s) - g_n(s+1) against both the term-by-term route and
                   the closed form with g_n(s+2)
 * ``b0``          g_n(0) -> mu_n and g_n(1) -> nu_n at b = 0
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import core
 from .poly import B, L, ONE, Polynomial, Q, RationalFunction
@@ -135,16 +143,23 @@ def _require_range(n_max: int, what: str = "n_max") -> None:
         raise InvalidRange(f"{what} must be >= 1, got {n_max}")
 
 
+def _fractions(n_max: int) -> Iterator[tuple[int, RationalFunction]]:
+    """(n, P_n/Q_n) for n = 1..n_max, lazily, from one forward pass."""
+    pairs = core.cf_convergents_iter(core.CFSpec.standard(n_max))
+    next(pairs)  # P_0/Q_0 = 1+b is not a depth the suites check
+    for pair in pairs:
+        yield pair.index, RationalFunction(pair.num, pair.den)
+
+
 def check_entry16(n_max: int = 15, mu_fn=None, nu_fn=None) -> VerificationReport:
     """mu_n/nu_n equals the depth-n fraction 1 + lq/1 + lq^2/1 + ... at b = 0."""
     _require_range(n_max)
     mu_fn = mu_fn or core.mu
     nu_fn = nu_fn or core.nu
     cases = []
-    for n in range(1, n_max + 1):
+    for n, fraction in _fractions(n_max):
         lhs = RationalFunction(mu_fn(n)) / RationalFunction(nu_fn(n))
-        rhs = core.cf_finite_backward(core.CFSpec.standard(n)).substitute("b", 0)
-        cases.append(_case(*compare(lhs, rhs), n=n))
+        cases.append(_case(*compare(lhs, fraction.substitute("b", 0)), n=n))
     return VerificationReport(suite="entry16", cases=tuple(cases))
 
 
@@ -153,10 +168,9 @@ def check_theorem1(n_max: int = 12, g_fn=None) -> VerificationReport:
     _require_range(n_max)
     g_fn = g_fn or core.g
     cases = []
-    for n in range(1, n_max + 1):
+    for n, fraction in _fractions(n_max):
         lhs = (ONE + B) * g_fn(n, 0) / g_fn(n, 1)
-        rhs = core.cf_finite_backward(core.CFSpec.standard(n))
-        cases.append(_case(*compare(lhs, rhs), n=n))
+        cases.append(_case(*compare(lhs, fraction), n=n))
     return VerificationReport(suite="theorem1", cases=tuple(cases))
 
 
@@ -166,12 +180,13 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
     With R_s = (1+bq^s) g_n(s)/g_n(s+1) built once for s = 0..n, each
     (n, s) case checks R_s == 1+bq^s + lq^(s+1)/R_(s+1).  Per n: the
     endpoint seed g_n(n) = g_n(n+1) = 1, and the full fraction rebuilt by
-    iterating the descent down from R_n.
+    iterating the descent down from R_n, a backward evaluation of the
+    fraction that is checked against P_n/Q_n from the forward recurrence.
     """
     _require_range(n_max)
     g_fn = g_fn or core.g
     cases = []
-    for n in range(1, n_max + 1):
+    for n, fraction in _fractions(n_max):
         ratios = [(ONE + B * Q**s) * g_fn(n, s) / g_fn(n, s + 1) for s in range(n + 1)]
         for s in range(0, n):
             rhs = (ONE + B * Q**s) + (L * Q ** (s + 1)) / ratios[s + 1]
@@ -185,7 +200,7 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
         value = ratios[n]
         for s in range(n - 1, -1, -1):
             value = (ONE + B * Q**s) + (L * Q ** (s + 1)) / value
-        ok_it, wit_it = compare(value, core.cf_finite_backward(core.CFSpec.standard(n)))
+        ok_it, wit_it = compare(value, fraction)
         cases.append(_case(ok_it, wit_it, n=n, s=n + 1))
     return VerificationReport(suite="recursion", cases=tuple(cases))
 

@@ -10,9 +10,11 @@ import pytest
 from rrcf import core, qpoch
 from rrcf.core import (
     CFSpec,
+    ConvergentPair,
     _assert_unit_constant,
     asi_u,
     cf_convergents_forward,
+    cf_convergents_iter,
     cf_finite_backward,
     convergent,
     g,
@@ -298,12 +300,25 @@ def test_forward_initial_pairs():
 
 
 def test_forward_matches_backward():
-    for n in range(1, 9):
-        spec = CFSpec.standard(n)
-        pairs = cf_convergents_forward(spec)
-        assert all(not p.den.is_zero for p in pairs)
-        last = pairs[-1]
-        assert RationalFunction(last.num, last.den) == cf_finite_backward(spec)
+    # one forward pass at entry16's default depth: each pair P_j/Q_j is the
+    # depth-j fraction, and it has the backward fraction's very num and den,
+    # so a witness built from either is the same text
+    pairs = cf_convergents_iter(CFSpec.standard(15))
+    assert next(pairs) == ConvergentPair(0, ONE + B, ONE)
+    depths = []
+    for pair in pairs:
+        backward = cf_finite_backward(CFSpec.standard(pair.index))
+        assert RationalFunction(pair.num, pair.den) == backward
+        assert (pair.num, pair.den) == (backward.num, backward.den)
+        depths.append(pair.index)
+    assert depths == list(range(1, 16))
+
+
+def test_forward_list_is_the_generator_drained():
+    spec = CFSpec.standard(6)
+    pairs = cf_convergents_iter(spec)
+    assert iter(pairs) is pairs
+    assert cf_convergents_forward(spec) == list(pairs)
 
 
 def test_determinant_identity():
@@ -419,8 +434,9 @@ def test_g_cache_is_bounded():
 
 def test_memo_tables_hold_every_entry_up_to_depth_20():
     # No entry a depth n <= 20 needs is ever evicted: every miss stays cached.
-    core._g_cached.cache_clear()
-    qpoch._product.cache_clear()
+    tables = (core._g_cached, qpoch._product, qpoch.q_binomial)
+    for cache in tables:
+        cache.cache_clear()
     for n in range(1, 21):
         for s in range(n + 2):
             g(n, s)
@@ -428,6 +444,6 @@ def test_memo_tables_hold_every_entry_up_to_depth_20():
             g_difference(n, s)
         for f in (mu, nu, asi_u):
             f(n)
-    for cache in (core._g_cached, qpoch._product):
+    for cache in tables:
         info = cache.cache_info()
         assert info.currsize == info.misses <= info.maxsize, info

@@ -381,16 +381,17 @@ def test_factored_runs_are_pochhammer_products():
 
 def test_expansions_go_through_the_bounded_product_table():
     # num and den multiply the known factors back in, one f_j at a time, and
-    # are cached on the value; the q-binomials read the bounded product
-    # table, and no other table grows
-    core._g_cached.cache_clear()
-    qpoch._product.cache_clear()
+    # are cached on the value; the q-binomials sit in their own bounded
+    # table and read the bounded product table, and no other table grows
+    tables = (core._g_cached, qpoch._product, qpoch.q_binomial)
+    for cache in tables:
+        cache.cache_clear()
     for n in range(1, 21):
         for s in range(n + 2):
             x = g(n, s)
             assert x.num is x.num and x.den is x.den
         ratio = (ONE + B) * g(n, 0) / g(n, 1)
         assert ratio.num is ratio.num and ratio.den is ratio.den
-    for cache in (core._g_cached, qpoch._product):
+    for cache in tables:
         info = cache.cache_info()
         assert info.currsize == info.misses <= info.maxsize, info

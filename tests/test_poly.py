@@ -84,6 +84,20 @@ def test_one_term_product_is_a_key_shift(p, mono, c):
     assert m * p == _mul_by_loop(m, p)
 
 
+@given(p=polynomials)
+@example(p=ZERO)
+@example(p=ONE)
+@example(p=Polynomial.constant(1))
+@settings(max_examples=150)
+def test_product_with_one_is_the_other_operand(p):
+    # values are immutable, so a product with 1 shares its other operand;
+    # the general loop agrees, and so does a 1 built apart from ONE
+    assert p * ONE is p and ONE * p is p
+    one = Polynomial.constant(1)
+    assert p * one == p == one * p
+    assert (p * ONE)._terms == _mul_by_loop(p, ONE)._terms == _mul_by_loop(ONE, p)._terms
+
+
 @given(p=polynomials, r=polynomials, j=st.integers(0, 6))
 @settings(max_examples=150)
 def test_times_factor_is_the_general_product(p, r, j):

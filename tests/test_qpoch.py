@@ -174,3 +174,18 @@ def test_product_cache_is_bounded():
         assert info.currsize <= maxsize
     finally:
         cache.cache_clear()
+
+
+def test_q_binomial_cache_is_bounded():
+    cache = q_binomial
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and maxsize == qpoch._PRODUCT_CACHE_SIZE
+    try:
+        for a in range(maxsize + 10):  # one new entry each, [a, 0]_q = 1
+            assert q_binomial(a, 0) == ONE
+        info = cache.cache_info()
+        assert info.misses > maxsize
+        assert info.currsize <= maxsize
+    finally:
+        cache.cache_clear()
+        qpoch._product.cache_clear()

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from rrcf import verify
-from rrcf.core import asi_u, g, g_difference, mu
+from rrcf import cli, core, verify
+from rrcf.core import ConvergentPair, asi_u, g, g_difference, mu
 from rrcf.poly import L, ONE, Q, RationalFunction
 from rrcf.verify import (
     InvalidRange,
@@ -116,6 +116,30 @@ def test_recursion_detects_perturbed_g(target, fault, expected):
     bad = failing_cases(report)
     assert [tuple(v for _, v in c.params) for c in bad] == expected
     assert all(c.witness is not None and c.witness[0] != c.witness[1] for c in bad)
+
+
+def test_suites_detect_a_corrupted_forward_pair(monkeypatch, capsys):
+    # the depth-n fraction of entry16, theorem1 and the recursion rebuild is
+    # P_n/Q_n from one forward pass: a wrong P_3 fails depth 3 of each, and
+    # nothing else
+    clean = core.cf_convergents_iter
+
+    def corrupted(spec):
+        for pair in clean(spec):
+            yield ConvergentPair(3, pair.num + L, pair.den) if pair.index == 3 else pair
+
+    monkeypatch.setattr(core, "cf_convergents_iter", corrupted)
+    expected = {
+        check_entry16: [(("n", 3),)],
+        check_theorem1: [(("n", 3),)],
+        check_recursion: [(("n", 3), ("s", 4))],  # the rebuild from R_3
+    }
+    for check, params in expected.items():
+        bad = failing_cases(check(5))
+        assert [c.params for c in bad] == params, check.__name__
+        assert all(c.witness is not None and c.witness[0] != c.witness[1] for c in bad)
+    assert cli.main(["verify", "--suite", "all", "--n-max", "4"]) == 1
+    assert "n=3 s=4 FAIL" in capsys.readouterr().out
 
 
 def test_telescoping_detects_perturbed_difference():
