@@ -15,9 +15,14 @@ an unconverged value.
 
 The convergents are evaluated by the backward recurrence in double
 precision.  Its coefficients 1 + b*q^j and lam*q^(j+1) depend only on j, so
-each point builds them once, as a table of 2n+1 floats, and every row of the
-convergence table reads that table: n_max(n_max-1)/2 backward steps per
-point, with no power calls.
+each point builds them once, as a table of 2n+1 floats read off one table of
+the powers q^0..q^n (n+1 power calls), and every row of the convergence
+table reads that table: n_max(n_max-1)/2 backward steps per point, with no
+power calls.
+
+A row of the table is a ``ConvergenceRow`` NamedTuple (n, convergent,
+deviation): it compares equal to the plain tuple of its fields, and a
+changed copy is ``row._replace(...)``, not ``dataclasses.replace``.
 
 Everything here is scalar float math; pure functions, no shared state.
 """
@@ -28,6 +33,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "NonConvergent",
@@ -123,17 +129,19 @@ def _coefficients(pt: NumericPoint, n: int) -> tuple[list[float], list[float]]:
     # c[j] = 1 + b*q^j for j = 0..n and a[j] = lam*q^(j+1) for j = 0..n-1: the
     # partial denominators and numerators of every convergent up to depth n.
     q, lam, b = pt.q, pt.lam, pt.b
-    return [1.0 + b * q**j for j in range(n + 1)], [lam * q ** (j + 1) for j in range(n)]
+    powers = [q**j for j in range(n + 1)]
+    return [1.0 + b * p for p in powers], [lam * p for p in powers[1:]]
 
 
 def _backward(pt: NumericPoint, c: list[float], a: list[float], n: int) -> float:
     # T_n = c[n], T_j = c[j] + a[j]/T_(j+1), convergent = 1 + a[0]/T_1.
+    # -1e-280 < t < 1e-280 is abs(t) < 1e-280 for every float, nan included
     t = c[n]
     for j in range(n - 1, 0, -1):
-        if abs(t) < 1e-280:
+        if -1e-280 < t < 1e-280:
             raise NumericBreakdown(f"tail T_{j + 1} vanished at (q={pt.q}, lam={pt.lam}, b={pt.b})")
         t = c[j] + a[j] / t
-    if abs(t) < 1e-280:
+    if -1e-280 < t < 1e-280:
         raise NumericBreakdown(f"tail T_1 vanished at (q={pt.q}, lam={pt.lam}, b={pt.b})")
     return 1.0 + a[0] / t
 
@@ -146,8 +154,7 @@ def cf_numeric(pt: NumericPoint, n: int) -> float:
     return _backward(pt, c, a, n)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     convergent: float
     deviation: float

@@ -14,6 +14,9 @@ Everything is a pure function of its arguments.  Two memo tables, each a
 thread-safe ``lru_cache`` bounded at ``_PRODUCT_CACHE_SIZE`` entries, hold
 the products and the q-binomials; either bound is enough for every entry
 that depths n <= 20 use, so each exact division is done once per (a, k).
+Every argument must be exactly an ``int`` (a bool or a float raises
+``TypeError``), and the tables are typed, so a cached ``3`` never answers
+for ``3.0``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,16 @@ __all__ = ["poch_q", "q_binomial"]
 _PRODUCT_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=_PRODUCT_CACHE_SIZE)
+def _require_ints(**args: object) -> None:
+    for name, value in args.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+@lru_cache(maxsize=_PRODUCT_CACHE_SIZE, typed=True)
 def _product(m: int, k: int) -> Polynomial:
     # prod_{j=m}^{m+k-1} (1 - q^j)
+    _require_ints(m=m, k=k)
     if m < 0:
         raise ValueError(f"base power must be non-negative, got {m}")
     if k < 0:
@@ -46,9 +56,10 @@ def poch_q(k: int, m: int = 1) -> Polynomial:
     return _product(m, k)
 
 
-@lru_cache(maxsize=_PRODUCT_CACHE_SIZE)
+@lru_cache(maxsize=_PRODUCT_CACHE_SIZE, typed=True)
 def q_binomial(a: int, k: int) -> Polynomial:
     """The Gaussian binomial [a, k]_q for 0 <= k <= a, a polynomial in q."""
+    _require_ints(a=a, k=k)
     if not 0 <= k <= a:
         raise IndexError(f"q-binomial needs 0 <= k <= a, got a={a}, k={k}")
     k = min(k, a - k)

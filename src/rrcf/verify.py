@@ -249,11 +249,14 @@ def check_asi(n_max: int = 10, asi_fn=None, g_fn=None) -> VerificationReport:
     return VerificationReport(suite="asi", cases=tuple(cases))
 
 
+_RANDOM_COEFFICIENTS = tuple(c for c in range(-9, 10) if c != 0)
+
+
 def _random_polynomial(rng: random.Random, max_terms: int = 4, max_exp: int = 3) -> Polynomial:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         key = (rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
-        coeff = rng.choice([c for c in range(-9, 10) if c != 0])
+        coeff = rng.choice(_RANDOM_COEFFICIENTS)
         terms[key] = terms.get(key, 0) + coeff
     return Polynomial(terms)
 

@@ -298,12 +298,32 @@ def _golden_commands():
     yield ("verify", "--suite", "all", "--n-max", "10")
 
 
-def test_outputs_match_golden_digest(capsys):
+def _digest(capsys, commands) -> str:
     digest = hashlib.sha256()
-    for argv in _golden_commands():
+    for argv in commands:
         code, out, _ = run_cli(capsys, *argv)
         digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
-    assert digest.hexdigest() == GOLDEN_DIGEST
+    return digest.hexdigest()
+
+
+def test_outputs_match_golden_digest(capsys):
+    assert _digest(capsys, _golden_commands()) == GOLDEN_DIGEST
+
+
+# The same digest over the convergence table, in every format.  Every power
+# of a dyadic q is exact, so the bytes do not depend on the platform's libm.
+GOLDEN_EVAL_DIGEST = "675128d877c2fb4874f46298b769020e3d48ac7f9517967a46dd0275c07f9116"
+
+
+def _golden_eval_commands():
+    for q, lam, b in (("0.5", "1", "0.5"), ("-0.25", "-2", "1")):
+        for n_max in ("12", "40"):
+            for fmt in ("text", "json", "csv"):
+                yield ("eval", "--q", q, "--lambda", lam, "--b", b, "--n-max", n_max, "--format", fmt)
+
+
+def test_eval_outputs_match_golden_digest(capsys):
+    assert _digest(capsys, _golden_eval_commands()) == GOLDEN_EVAL_DIGEST
 
 
 def test_missing_subcommand_is_usage_error(capsys):

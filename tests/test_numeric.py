@@ -156,6 +156,15 @@ def test_report_csv_layout():
     assert float(first[1]) == report.rows[0].convergent
 
 
+def test_rows_are_named_tuples():
+    row = convergence_demo(DESK_POINT, 3, 50).rows[1]
+    assert row._fields == ("n", "convergent", "deviation")
+    assert row == (2, row.convergent, row.deviation)
+    assert row._replace(n=9) == (9, row.convergent, row.deviation)
+    with pytest.raises(AttributeError):
+        row.n = 3
+
+
 def test_report_json_round_trip():
     report = convergence_demo(DESK_POINT, 6, 50)
     data = json.loads(json.dumps(report.to_json()))
@@ -215,6 +224,12 @@ def _oracle_points():
         q = rng.choice((-1, 1)) * rng.uniform(0.3, 0.9)
         b = -(q ** -rng.randint(1, 6)) + rng.uniform(-1e-9, 1e-9)
         points.append(NumericPoint(q=q, lam=rng.uniform(-2.0, 2.0), b=b))
+    # Rows that break down: dyadic q makes every product below exact.
+    for q in (0.5, -0.5, 0.25):
+        for j in (8, 13, 20, 35, 60):  # b = -q^(-j) zeroes T_j; the series stops before that pole
+            points.append(NumericPoint(q=q, lam=rng.uniform(-2.0, 2.0), b=-(q**-j)))
+        for b in (1.0, 0.5, -0.5):  # lam zeroes T_1 = (1+bq) + lam q^2/(1+bq^2) at n = 2
+            points.append(NumericPoint(q=q, lam=-(1.0 + b * q) * (1.0 + b * q * q) / (q * q), b=b))
     return points
 
 
@@ -222,14 +237,20 @@ ORACLE_N_MAX = 60
 
 
 def test_shared_table_is_bit_identical_to_per_row_recurrence():
+    broken = 0
     for pt in _oracle_points():
         expected = [_outcome(_reference_cf, pt, n) for n in range(1, ORACLE_N_MAX + 1)]
         assert [_outcome(cf_numeric, pt, n) for n in range(1, ORACLE_N_MAX + 1)] == expected, pt
-        if any(isinstance(e, tuple) for e in expected):
+        failures = [e for e in expected if isinstance(e, tuple)]
+        if failures:
+            # the demo stops at the first row that breaks down, with that row's error
+            assert _outcome(convergence_demo, pt, ORACLE_N_MAX, 50) == failures[0], pt
+            broken += 1
             continue
         report = convergence_demo(pt, ORACLE_N_MAX, 50)
         assert [r.convergent for r in report.rows] == expected, pt
         assert [r.deviation for r in report.rows] == [abs(e - report.series_ratio) for e in expected], pt
+    assert broken == 24
 
 
 @pytest.mark.parametrize("b, tail", [(-2.0, 1), (-4.0, 2)])

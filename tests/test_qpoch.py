@@ -162,6 +162,31 @@ def test_q_binomial_rejects_out_of_range():
             q_binomial(a, k)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (q_binomial, (3.0, 1)),
+        (q_binomial, (3, 1.0)),
+        (q_binomial, (True, 1)),
+        (poch_q, (True, 2)),
+        (poch_q, (1, 5.0)),
+        (poch_q, (2.0,)),
+    ],
+)
+def test_non_int_arguments_raise_whatever_is_cached(call, args):
+    # The int twin of each argument tuple is cached first: a typed table must
+    # still send the float or bool to the type check.  True == 1, so an
+    # untyped table reads poch_q(True, 2) as (q^2;q)_1.
+    twin = tuple(int(x) for x in args)
+    call(*twin)
+    with pytest.raises(TypeError, match="must be an int"):
+        call(*args)
+    qpoch._product.cache_clear()
+    q_binomial.cache_clear()
+    with pytest.raises(TypeError, match="must be an int"):
+        call(*args)
+
+
 def test_product_cache_is_bounded():
     cache = qpoch._product
     maxsize = cache.cache_info().maxsize
