@@ -188,14 +188,15 @@ def test_reports_deterministic_given_seed():
     assert all(case.passed for case in c.cases)
 
 
-def test_random_rational_functions_are_pinned():
-    # sha256 of the first two draws for seeds 0..49: the division suite's
+def test_random_polynomials_are_pinned():
+    # sha256 of the first four draws for seeds 0..49: the division suite's
     # samples stay the same whenever the generator is rewritten
     digest = hashlib.sha256()
     for seed in range(50):
         rng = random.Random(seed)
-        digest.update(f"{verify._random_rf(rng)}\n{verify._random_rf(rng)}\n".encode())
-    assert digest.hexdigest() == "1c47fd2de1af8d3300665374ffa750182eb33c10895370da1564032d26d72d80"
+        for _ in range(4):
+            digest.update(f"{verify._random_polynomial(rng)}\n".encode())
+    assert digest.hexdigest() == "9d57e6e801945d0af5dd5740231c5a01bbdb489167f3c40baed65400d9dee98a"
 
 
 def test_cases_ordered_by_parameters():
