@@ -60,7 +60,6 @@ __all__ = [
     "g_difference",
     "cf_finite_backward",
     "cf_convergents_iter",
-    "cf_convergents_forward",
     "convergent",
     "asi_u",
 ]
@@ -238,11 +237,6 @@ def cf_convergents_iter(spec: CFSpec) -> Iterator[ConvergentPair]:
         p_cur, p_prev = _times_factor(p_cur, j) + aj * p_prev, p_cur
         q_cur, q_prev = _times_factor(q_cur, j) + aj * q_prev, q_cur
         yield ConvergentPair(j, p_cur, q_cur)
-
-
-def cf_convergents_forward(spec: CFSpec) -> list[ConvergentPair]:
-    """Every convergent pair (P_j, Q_j), j = 0..depth, of cf_convergents_iter as a list."""
-    return list(cf_convergents_iter(spec))
 
 
 def convergent(n: int) -> RationalFunction:

@@ -85,7 +85,7 @@ def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, i
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     q, lam, b = pt.q, pt.lam, pt.b
     num = den = 0.0
-    poch_q = poch_b = 1.0  # (q;q)_k and (-bq;q)_k, running
+    fac_q = fac_b = 1.0  # (q;q)_k and (-bq;q)_k, running
     q_sq = 1.0  # q^(k^2)
     q_k = 1.0  # q^k
     lam_k = 1.0  # lam^k
@@ -95,10 +95,10 @@ def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, i
             q_sq *= q_k * q_k * q  # q^(k^2) = q^((k-1)^2) * q^(2k-1)
             q_k *= q
             lam_k *= lam
-            poch_q *= 1.0 - q_k
-            poch_b *= 1.0 + b * q_k
+            fac_q *= 1.0 - q_k
+            fac_b *= 1.0 + b * q_k
         try:
-            t = q_sq * lam_k / (poch_q * poch_b)
+            t = q_sq * lam_k / (fac_q * fac_b)
         except ZeroDivisionError:
             raise NumericBreakdown(
                 f"(-bq;q)_{k} vanishes at (q={q}, lam={lam}, b={b}): b is a pole of the series"

@@ -40,7 +40,8 @@ content is divided out, normalisation takes two steps:
 Divisibility is decided exactly, in one pass over a residual's terms,
 before anything is divided: f_j divides P exactly when P vanishes at
 b = -q^-j.  One screen rules out the whole family at once: every f_j
-vanishes at q = 1, b = -1.
+vanishes at q = 1, b = -1.  Only then is f_j divided out, by synthetic
+division in ascending b-degree, which cannot fail.
 
 The f_j are irreducible and pairwise coprime, so when every f_j common to
 the two sides is named, the expanded ``num`` and ``den`` are the same
@@ -78,7 +79,6 @@ to use from multiple threads.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -87,7 +87,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "RationalFunction",
-    "NotDivisible",
     "DivisionByZero",
     "ZERO",
     "ONE",
@@ -95,18 +94,6 @@ __all__ = [
     "L",
     "B",
 ]
-
-
-class NotDivisible(ArithmeticError):
-    """Exact polynomial division was requested but leaves a remainder.
-
-    Raised with (dividend, divisor); the message is rendered only when
-    shown.  Normalisation never raises it: it divides only by a factor
-    already shown to divide.
-    """
-
-    def __str__(self) -> str:
-        return f"{self.args[0]} is not divisible by {self.args[1]}"
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -308,53 +295,6 @@ class Polynomial:
         # any divisor RationalFunction accepts, Fraction scalars included
         return RationalFunction(self) / other
 
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Return c with c * divisor == self, or raise NotDivisible.
-
-        Multivariate long division against the lexicographic leading term;
-        exactness fails as soon as a remainder term cannot be cancelled,
-        including when its coefficient is not an integer multiple of the
-        divisor's leading coefficient.
-        The remainder's leading monomial is tracked with a lazy max-heap.
-        """
-        if divisor.is_zero:
-            raise DivisionByZero("exact division by zero polynomial")
-        if self.is_zero:
-            return ZERO
-        dkey = max(divisor._terms)
-        dq, dl, db = dkey
-        dc = divisor._terms[dkey]
-        rest = [(k, c) for k, c in divisor._terms.items() if k != dkey]
-        rem = dict(self._terms)
-        heap = [(-k[0], -k[1], -k[2]) for k in rem]
-        heapq.heapify(heap)
-        out: dict[tuple, int] = {}
-        while rem:
-            nk = heapq.heappop(heap)
-            rkey = (-nk[0], -nk[1], -nk[2])
-            if rkey not in rem:
-                continue
-            mq, ml, mb = rkey[0] - dq, rkey[1] - dl, rkey[2] - db
-            if mq < 0 or ml < 0 or mb < 0:
-                raise NotDivisible(self, divisor)
-            c, r = divmod(rem.pop(rkey), dc)
-            if r:
-                raise NotDivisible(self, divisor)
-            out[(mq, ml, mb)] = c
-            for (tq, tl, tb), tc in rest:
-                key = (tq + mq, tl + ml, tb + mb)
-                prev = rem.get(key)
-                if prev is None:
-                    rem[key] = -c * tc
-                    heapq.heappush(heap, (-key[0], -key[1], -key[2]))
-                else:
-                    s = prev - c * tc
-                    if s == 0:
-                        del rem[key]
-                    else:
-                        rem[key] = s
-        return Polynomial._raw(out)
-
     # -- evaluation and substitution ----------------------------------------
 
     def eval_numeric(self, q: float, lam: float, b: float) -> float:
@@ -463,11 +403,6 @@ def _normalize_content(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
 # -- the known factors f_j = 1 + b*q^j ----------------------------------------
 
 
-def _factor(j: int) -> Polynomial:
-    """f_j = 1 + b*q^j."""
-    return Polynomial._raw({_UNIT_MONO: 1, (j, 0, 1): 1})
-
-
 def _factor_index(p: Polynomial) -> int | None:
     """j if p is an integer multiple c*f_j = c + c*b*q^j, else None."""
     t = p._terms
@@ -516,6 +451,33 @@ def _times_factors(p: Polynomial, exps: Mapping[int, int]) -> Polynomial:
     return p
 
 
+def _divide_factor(p: Polynomial, j: int) -> Polynomial:
+    """p / f_j for an f_j that divides p, by synthetic division in ascending b-degree.
+
+    The quotient at b^eb is p's part at b^eb less the quotient at b^(eb-1)
+    shifted by q^j.  That shift can place terms that p lacks, so each level
+    is carried into the next.
+    """
+    levels: dict[int, dict[tuple, int]] = {}
+    for (eq, el, eb), c in p._terms.items():
+        levels.setdefault(eb, {})[(eq, el)] = c
+    out: dict[tuple, int] = {}
+    prev: dict[tuple, int] = {}
+    for eb in range(max(levels)):  # the quotient's b-degree is one less than p's
+        cur = levels.get(eb, {})
+        for (eq, el), c in prev.items():
+            key = (eq + j, el)
+            s = cur.get(key, 0) - c
+            if s:
+                cur[key] = s
+            else:
+                del cur[key]
+        for (eq, el), c in cur.items():
+            out[(eq, el, eb)] = c
+        prev = cur
+    return Polynomial._raw(out)
+
+
 # -- normal form ---------------------------------------------------------------
 
 
@@ -559,7 +521,7 @@ def _normal_form(
         # f_j^e stands over the denominator's residual when e > 0, the numerator's when e < 0
         i, step = (1, -1) if e > 0 else (0, 1)
         while e and holds(i, j):
-            res[i] = res[i].exact_div(_factor(j))
+            res[i] = _divide_factor(res[i], j)
             e += step
         if e:
             kept[j] = e

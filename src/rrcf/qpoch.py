@@ -1,35 +1,32 @@
-"""q-rising factorials (q^m;q)_k, and q-binomials.
-
-``(a;q)_0 = 1`` and for k > 0, ``(a;q)_k = (1-a)(1-aq)...(1-aq^(k-1))``.
-The supported base is ``a = q^m`` with m >= 0; ``(-bq^m;q)_k`` is never
-formed, since :mod:`rrcf.poly` multiplies by one 1 + b*q^j at a time.  A
-shifted base is how a ratio of two factorials is written:
-``(a;q)_(j+k) / (a;q)_j`` is ``(aq^j;q)_k``, a plain product.
+"""q-binomials.
 
 The Gaussian binomial ``[a, k]_q = (q;q)_a / ((q;q)_k (q;q)_(a-k))`` is a
-polynomial in q; it is computed as the exact quotient
-``(q^(a-k+1);q)_k / (q;q)_k``.
+polynomial in q.  It is built on one list of q-coefficients, from
+``[a-k, 0] = 1``: step i multiplies by ``1 - q^(a-k+i)`` and divides by
+``1 - q^i``, and what it leaves is ``[a-k+i, i]``, a polynomial, so every
+division is exact.  Each step is one pass over the list; a multiply by
+``1 - q^m`` subtracts the list shifted by m, and a divide by ``1 - q^i``
+adds back the quotient shifted by i.
 
-Everything is a pure function of its arguments.  Two memo tables, each a
-thread-safe ``lru_cache`` bounded at ``_PRODUCT_CACHE_SIZE`` entries, hold
-the products and the q-binomials; either bound is enough for every entry
-that depths n <= 20 use, so each exact division is done once per (a, k).
-Every argument must be exactly an ``int`` (a bool or a float raises
-``TypeError``), and the tables are typed, so a cached ``3`` never answers
-for ``3.0``.
+Everything is a pure function of its arguments.  One memo table, a
+thread-safe ``lru_cache`` bounded at ``_Q_BINOMIAL_CACHE_SIZE`` entries,
+holds the q-binomials; the bound is enough for every entry that depths
+n <= 20 use, so each q-binomial is built once.  Every argument must be
+exactly an ``int`` (a bool or a float raises ``TypeError``), and the table
+is typed, so a cached ``3`` never answers for ``3.0``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .poly import ONE, Polynomial, Q
+from .poly import Polynomial
 
-__all__ = ["poch_q", "q_binomial"]
+__all__ = ["q_binomial"]
 
-# Every g, g_difference, mu, nu and asi_u at depths n <= 20 uses 99 products
-# and 131 q-binomials.
-_PRODUCT_CACHE_SIZE = 1024
+# Every g, g_difference, mu, nu and asi_u at depths n <= 20 uses 131
+# q-binomials.
+_Q_BINOMIAL_CACHE_SIZE = 1024
 
 
 def _require_ints(**args: object) -> None:
@@ -38,29 +35,20 @@ def _require_ints(**args: object) -> None:
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 
-@lru_cache(maxsize=_PRODUCT_CACHE_SIZE, typed=True)
-def _product(m: int, k: int) -> Polynomial:
-    # prod_{j=m}^{m+k-1} (1 - q^j)
-    _require_ints(m=m, k=k)
-    if m < 0:
-        raise ValueError(f"base power must be non-negative, got {m}")
-    if k < 0:
-        raise IndexError(f"poch index must be non-negative, got {k}")
-    if k == 0:
-        return ONE
-    return _product(m, k - 1) * (ONE - Q ** (m + k - 1))
-
-
-def poch_q(k: int, m: int = 1) -> Polynomial:
-    """(q^m;q)_k = prod_{j=0}^{k-1} (1 - q^(m+j)); the default m = 1 is (q;q)_k."""
-    return _product(m, k)
-
-
-@lru_cache(maxsize=_PRODUCT_CACHE_SIZE, typed=True)
+@lru_cache(maxsize=_Q_BINOMIAL_CACHE_SIZE, typed=True)
 def q_binomial(a: int, k: int) -> Polynomial:
     """The Gaussian binomial [a, k]_q for 0 <= k <= a, a polynomial in q."""
     _require_ints(a=a, k=k)
     if not 0 <= k <= a:
         raise IndexError(f"q-binomial needs 0 <= k <= a, got a={a}, k={k}")
     k = min(k, a - k)
-    return poch_q(k, a - k + 1).exact_div(poch_q(k))
+    c = [1]
+    for i in range(1, k + 1):
+        m = a - k + i
+        c.extend([0] * m)
+        for t in range(len(c) - 1, m - 1, -1):  # times 1 - q^m
+            c[t] -= c[t - m]
+        for t in range(i, len(c)):  # over 1 - q^i
+            c[t] += c[t - i]
+        del c[len(c) - i :]
+    return Polynomial._raw({(e, 0, 0): x for e, x in enumerate(c) if x})

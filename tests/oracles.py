@@ -1,0 +1,90 @@
+"""Slow, general reference routines that the library's one-pass kernels are tested against.
+
+``exact_div`` is multivariate long division, for any divisor; the library
+divides only by f_j = 1 + b*q^j, by synthetic division, after an exact
+divisibility test.  ``poch_q`` is the q-rising factorial (q^m;q)_k as a plain
+product of its factors; the library builds q-binomials on one coefficient
+list and forms no such product.  So ``exact_div(poch_q(k, a-k+1), poch_q(k))``
+is a q-binomial found by a route that shares no code with ``rrcf.qpoch``.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+from rrcf.poly import ONE, ZERO, DivisionByZero, Polynomial, Q
+
+
+class NotDivisible(ArithmeticError):
+    """Exact polynomial division was requested but leaves a remainder.
+
+    Raised with (dividend, divisor); the message is rendered only when
+    shown.
+    """
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} is not divisible by {self.args[1]}"
+
+
+def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
+    """Return c with c * divisor == p, or raise NotDivisible.
+
+    Multivariate long division against the lexicographic leading term;
+    exactness fails as soon as a remainder term cannot be cancelled,
+    including when its coefficient is not an integer multiple of the
+    divisor's leading coefficient.
+    The remainder's leading monomial is tracked with a lazy max-heap.
+    """
+    if divisor.is_zero:
+        raise DivisionByZero("exact division by zero polynomial")
+    if p.is_zero:
+        return ZERO
+    dkey = max(divisor._terms)
+    dq, dl, db = dkey
+    dc = divisor._terms[dkey]
+    rest = [(k, c) for k, c in divisor._terms.items() if k != dkey]
+    rem = dict(p._terms)
+    heap = [(-k[0], -k[1], -k[2]) for k in rem]
+    heapq.heapify(heap)
+    out: dict[tuple, int] = {}
+    while rem:
+        nk = heapq.heappop(heap)
+        rkey = (-nk[0], -nk[1], -nk[2])
+        if rkey not in rem:
+            continue
+        mq, ml, mb = rkey[0] - dq, rkey[1] - dl, rkey[2] - db
+        if mq < 0 or ml < 0 or mb < 0:
+            raise NotDivisible(p, divisor)
+        c, r = divmod(rem.pop(rkey), dc)
+        if r:
+            raise NotDivisible(p, divisor)
+        out[(mq, ml, mb)] = c
+        for (tq, tl, tb), tc in rest:
+            key = (tq + mq, tl + ml, tb + mb)
+            prev = rem.get(key)
+            if prev is None:
+                rem[key] = -c * tc
+                heapq.heappush(heap, (-key[0], -key[1], -key[2]))
+            else:
+                s = prev - c * tc
+                if s == 0:
+                    del rem[key]
+                else:
+                    rem[key] = s
+    return Polynomial._raw(out)
+
+
+def poch_q(k: int, m: int = 1) -> Polynomial:
+    """(q^m;q)_k = prod_{j=0}^{k-1} (1 - q^(m+j)); the default m = 1 is (q;q)_k."""
+    # range() would take a bool, and a negative k would give the empty product
+    for name, value in (("k", k), ("m", m)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+    if m < 0:
+        raise ValueError(f"base power must be non-negative, got {m}")
+    if k < 0:
+        raise IndexError(f"poch index must be non-negative, got {k}")
+    prod = ONE
+    for j in range(m, m + k):
+        prod = prod * (ONE - Q**j)
+    return prod

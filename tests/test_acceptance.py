@@ -12,7 +12,7 @@ from rrcf import cli, core, verify
 from rrcf.core import (
     CFSpec,
     asi_u,
-    cf_convergents_forward,
+    cf_convergents_iter,
     cf_finite_backward,
     convergent,
     g,
@@ -92,10 +92,10 @@ def test_criterion_6_forward_backward_and_determinant():
     ok = True
     for n in range(1, 13):
         spec = CFSpec.standard(n)
-        pairs = cf_convergents_forward(spec)
+        pairs = list(cf_convergents_iter(spec))
         last = pairs[-1]
         ok = ok and RationalFunction(last.num, last.den) == cf_finite_backward(spec)
-    pairs = cf_convergents_forward(CFSpec.standard(12))
+    pairs = list(cf_convergents_iter(CFSpec.standard(12)))
     for j in range(1, 13):
         det = pairs[j].num * pairs[j - 1].den - pairs[j - 1].num * pairs[j].den
         ok = ok and det == Polynomial.monomial(j * (j + 1) // 2, j, 0, (-1) ** (j - 1))

@@ -7,13 +7,13 @@ acceptance tests.
 
 import pytest
 
+from oracles import exact_div, poch_q
 from rrcf import core, qpoch
 from rrcf.core import (
     CFSpec,
     ConvergentPair,
     _assert_unit_constant,
     asi_u,
-    cf_convergents_forward,
     cf_convergents_iter,
     cf_finite_backward,
     convergent,
@@ -107,10 +107,6 @@ def _factors(lo, hi, factor):
     return prod
 
 
-def _q_factors(lo, hi):
-    return _factors(lo, hi, lambda j: ONE - Q**j)
-
-
 def _b_factors(lo, hi):
     return _factors(lo, hi, lambda j: ONE + B * Q**j)
 
@@ -120,7 +116,7 @@ def _oracle_g(n, s):
     # are named as runs: the normal form cancels only the f_j a value names
     total = RationalFunction(ZERO)
     for k in range((n - s + 1) // 2 + 1):
-        binomial = _q_factors(n - 2 * k - s + 2, n - k - s + 1).exact_div(_q_factors(1, k))
+        binomial = exact_div(poch_q(k, n - 2 * k - s + 2), poch_q(k))
         total = total + RationalFunction._factored(
             Polynomial.monomial(k * k + s * k, k) * binomial, den_runs=((s, k), (n - k + 1, k))
         )
@@ -130,7 +126,7 @@ def _oracle_g(n, s):
 def _oracle_g_difference(n, s):
     total = RationalFunction(ZERO)
     for k in range(1, (n - s + 1) // 2 + 1):
-        binomial = _q_factors(n - 2 * k - s + 2, n - k - s).exact_div(_q_factors(1, k - 1))
+        binomial = exact_div(poch_q(k - 1, n - 2 * k - s + 2), poch_q(k - 1))
         total = total + RationalFunction._factored(
             Polynomial.monomial(k * k + s * k, k) * binomial, den_runs=((s, k + 1), (n - k + 2, k - 1))
         )
@@ -140,7 +136,7 @@ def _oracle_g_difference(n, s):
 def _oracle_asi_u(n):
     total = RationalFunction(ZERO)
     for k in range(n // 2 + 1):
-        binomial = _q_factors(n - 2 * k + 1, n - k).exact_div(_q_factors(1, k))
+        binomial = exact_div(poch_q(k, n - 2 * k + 1), poch_q(k))
         total = total + RationalFunction._factored(
             Polynomial.monomial(k * k + k, k) * binomial, num_runs=((1, n - k),), den_runs=((1, k),)
         )
@@ -207,7 +203,7 @@ def test_g_denominator_is_structured():
             full = ONE
             for j in range(s, n + 1):
                 full = full * (ONE + B * Q**j)
-            assert full.exact_div(den) * den == full
+            assert exact_div(full, den) * den == full
 
 
 # -- the telescoping difference ------------------------------------------------
@@ -292,7 +288,7 @@ def test_unit_constant_check_raises():
 
 
 def test_forward_initial_pairs():
-    pairs = cf_convergents_forward(CFSpec.standard(3))
+    pairs = list(cf_convergents_iter(CFSpec.standard(3)))
     assert (pairs[0].num, pairs[0].den) == (ONE + B, ONE)
     assert pairs[1].num == (ONE + B * Q) * (ONE + B) + L * Q
     assert pairs[1].den == ONE + B * Q
@@ -315,14 +311,19 @@ def test_forward_matches_backward():
 
 
 def test_forward_list_is_the_generator_drained():
+    # callers that want every pair drain the generator into a list; a
+    # second generator gives the same list, and a drained one gives nothing
     spec = CFSpec.standard(6)
     pairs = cf_convergents_iter(spec)
     assert iter(pairs) is pairs
-    assert cf_convergents_forward(spec) == list(pairs)
+    drained = list(pairs)
+    assert [pair.index for pair in drained] == list(range(7))
+    assert drained == list(cf_convergents_iter(spec))
+    assert list(pairs) == []
 
 
 def test_determinant_identity():
-    pairs = cf_convergents_forward(CFSpec.standard(8))
+    pairs = list(cf_convergents_iter(CFSpec.standard(8)))
     for j in range(1, 9):
         det = pairs[j].num * pairs[j - 1].den - pairs[j - 1].num * pairs[j].den
         expected = Polynomial.monomial(j * (j + 1) // 2, j, 0, (-1) ** (j - 1))
@@ -434,7 +435,7 @@ def test_g_cache_is_bounded():
 
 def test_memo_tables_hold_every_entry_up_to_depth_20():
     # No entry a depth n <= 20 needs is ever evicted: every miss stays cached.
-    tables = (core._g_cached, qpoch._product, qpoch.q_binomial)
+    tables = (core._g_cached, qpoch.q_binomial)
     for cache in tables:
         cache.cache_clear()
     for n in range(1, 21):

@@ -18,7 +18,8 @@ residuals keeps it and is compared by value.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrcf import core, qpoch, verify
+from oracles import NotDivisible, exact_div
+from rrcf import core, poly, qpoch, verify
 from rrcf.core import g, g_difference
 from rrcf.poly import (
     B,
@@ -26,7 +27,6 @@ from rrcf.poly import (
     ONE,
     Q,
     ZERO,
-    NotDivisible,
     Polynomial,
     RationalFunction,
     _normalize_content,
@@ -75,8 +75,8 @@ def trial_cancel(num, den):
             if num_val % f_val or den_val % f_val:
                 break
             try:
-                new_den = den.exact_div(factor)
-                new_num = num.exact_div(factor)
+                new_den = exact_div(den, factor)
+                new_num = exact_div(num, factor)
             except NotDivisible:
                 break
             num, den = new_num, new_den
@@ -321,34 +321,31 @@ def test_backward_fraction_does_no_trial_division(monkeypatch):
     # every level is a polynomial plus a monomial over the tail, so
     # cf_finite_backward never divides anything out
     calls = []
-    exact_div = Polynomial.exact_div
-    monkeypatch.setattr(Polynomial, "exact_div", lambda p, d: calls.append("exact_div") or exact_div(p, d))
+    divide_factor = poly._divide_factor
+    monkeypatch.setattr(poly, "_divide_factor", lambda p, j: calls.append(j) or divide_factor(p, j))
     spec = core.CFSpec.standard(12)
     value = core.cf_finite_backward(spec)
     assert calls == []
     # the counter sees the general path, which divides out a named 1+bq
     RationalFunction._from_exps(ONE + L, {1: 1}, f(1) * (ONE - L))
-    assert "exact_div" in calls
+    assert calls == [1]
     monkeypatch.undo()
     assert_same(value, expanded_backward(12))
 
 
 def test_verify_suites_make_no_failing_division(monkeypatch):
-    # divisibility is decided before exact_div is called, so no call fails
+    # divisibility is decided before _divide_factor is called, so every
+    # quotient times f_j gives back its dividend
     calls = {"ok": 0, "failed": 0}
-    exact_div = Polynomial.exact_div
+    divide_factor = poly._divide_factor
 
-    def counting_exact_div(p, d):
-        try:
-            out = exact_div(p, d)
-        except NotDivisible:
-            calls["failed"] += 1
-            raise
-        calls["ok"] += 1
+    def checked_divide_factor(p, j):
+        out = divide_factor(p, j)
+        calls["ok" if out * f(j) == p else "failed"] += 1
         return out
 
     core._g_cached.cache_clear()
-    monkeypatch.setattr(Polynomial, "exact_div", counting_exact_div)
+    monkeypatch.setattr(poly, "_divide_factor", checked_divide_factor)
     assert all(report.all_passed for report in verify.run_all(10, 0))
     assert calls["failed"] == 0 and calls["ok"] > 0, calls
 
@@ -379,11 +376,11 @@ def test_factored_runs_are_pochhammer_products():
 # -- bounded memory ----------------------------------------------------------------
 
 
-def test_expansions_go_through_the_bounded_product_table():
+def test_expansions_are_cached_and_the_tables_bounded():
     # num and den multiply the known factors back in, one f_j at a time, and
-    # are cached on the value; the q-binomials sit in their own bounded
-    # table and read the bounded product table, and no other table grows
-    tables = (core._g_cached, qpoch._product, qpoch.q_binomial)
+    # are cached on the value; the g values and the q-binomials sit in their
+    # own bounded tables, and no other table grows
+    tables = (core._g_cached, qpoch.q_binomial)
     for cache in tables:
         cache.cache_clear()
     for n in range(1, 21):

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import NotDivisible, exact_div
 from rrcf import poly
 from rrcf.core import g
 from rrcf.poly import (
     B,
     DivisionByZero,
     L,
-    NotDivisible,
     ONE,
     Polynomial,
     Q,
     RationalFunction,
     ZERO,
-    _factor,
+    _divide_factor,
     _factor_divides,
     _times_factor,
     _vanishes_at_factor_roots,
@@ -63,6 +63,10 @@ def test_mul_identity():
 def test_mul_two_factors_expanded():
     # (1+bq)(1+bq^2) = 1 + bq + bq^2 + b^2 q^3
     assert (ONE + B * Q) * (ONE + B * Q**2) == ONE + B * Q + B * Q**2 + B**2 * Q**3
+
+
+def _factor(j):
+    return ONE + B * Q**j
 
 
 def _mul_by_loop(a, b):
@@ -136,23 +140,57 @@ def test_negative_exponent_rejected():
         Polynomial({(-1, 0, 0): 1})
 
 
+# -- the long-division oracle and the synthetic division by f_j ---------------
+
+
 def test_exact_div_basic():
-    assert (ONE - Q**2).exact_div(ONE - Q) == ONE + Q
+    assert exact_div(ONE - Q**2, ONE - Q) == ONE + Q
 
 
 def test_exact_div_self():
     a = ONE + 2 * Q - L * B**3
-    assert a.exact_div(a) == ONE
+    assert exact_div(a, a) == ONE
 
 
 def test_exact_div_remainder_raises():
     with pytest.raises(NotDivisible):
-        (ONE + Q).exact_div(ONE - Q)
+        exact_div(ONE + Q, ONE - Q)
 
 
 def test_exact_div_by_zero_raises():
     with pytest.raises(DivisionByZero):
-        ONE.exact_div(ZERO)
+        exact_div(ONE, ZERO)
+
+
+def test_exact_div_non_integer_quotient_raises():
+    with pytest.raises(NotDivisible):
+        exact_div(Q, 2 * Q)
+
+
+@given(a=polynomials, d=nonzero_polynomials)
+@settings(max_examples=150)
+def test_exact_div_inverts_mul(a, d):
+    assert exact_div(a * d, d) == a
+
+
+@pytest.mark.parametrize("j", [0, 1, 3])
+def test_divide_factor_carries_terms_the_dividend_lacks(j):
+    # (1 - b^2 q^(2j)) / f_j = 1 - b q^j: the quotient's b q^j term has no
+    # counterpart in the dividend
+    p = ONE - B**2 * Q ** (2 * j)
+    assert _divide_factor(p, j)._terms == (ONE - B * Q**j)._terms
+    assert _divide_factor(p, j) == exact_div(p, _factor(j))
+
+
+# nonzero, with terms at two b-degrees at least, so that every division
+# carries a quotient level into the next
+multilevel_polynomials = nonzero_polynomials.filter(lambda p: len({m.eb for m, _ in p.terms()}) >= 2)
+
+
+@given(p=multilevel_polynomials, j=st.integers(0, 6))
+@settings(max_examples=150)
+def test_divide_factor_inverts_times_factor(p, j):
+    assert _divide_factor(_times_factor(p, j), j)._terms == p._terms
 
 
 def test_degree_and_substitute():
@@ -192,12 +230,6 @@ def test_mul_distributes_over_add(p, r, s):
     assert p * (r + s) == p * r + p * s
 
 
-@given(a=polynomials, d=nonzero_polynomials)
-@settings(max_examples=150)
-def test_exact_div_inverts_mul(a, d):
-    assert (a * d).exact_div(d) == a
-
-
 @given(p=polynomials, r=polynomials)
 @settings(max_examples=100)
 def test_commutativity(p, r):
@@ -215,7 +247,7 @@ def _int_coefficients(p):
 @given(p=polynomials, r=polynomials, d=nonzero_polynomials, e=st.integers(0, 3), v=st.integers(-3, 3))
 @settings(max_examples=100)
 def test_every_result_has_int_coefficients(p, r, d, e, v):
-    results = [p + r, p - r, p * r, p**e, (p * d).exact_div(d), p.substitute("q", v), p.substitute("b", v)]
+    results = [p + r, p - r, p * r, p**e, exact_div(p * d, d), p.substitute("q", v), p.substitute("b", v)]
     rfs = [RationalFunction(p, d), RationalFunction(p, d) * Fraction(2, 3)]
     if r:
         rfs.append(RationalFunction(p * d, d * r))
@@ -266,11 +298,6 @@ def test_from_terms_json_rejects_rational_coefficient():
     for c in ("1/2", 1.5):
         with pytest.raises(ValueError):
             Polynomial.from_terms_json([{"c": c, "q": 1, "l": 0, "b": 0}])
-
-
-def test_exact_div_non_integer_quotient_raises():
-    with pytest.raises(NotDivisible):
-        Q.exact_div(2 * Q)
 
 
 def test_fraction_scalars_go_through_rational_function():
@@ -373,22 +400,24 @@ def test_exact_rule_divides_nothing_when_numerator_vanishes_at_a_point(monkeypat
     # candidate without dividing
     x = g(12, 1)
     calls = []
-    exact_div = Polynomial.exact_div
+    divide_factor = poly._divide_factor
 
-    def counting_exact_div(self, divisor):
-        calls.append(divisor)
-        return exact_div(self, divisor)
+    def counting_divide_factor(p, j):
+        calls.append(j)
+        return divide_factor(p, j)
 
-    monkeypatch.setattr(Polynomial, "exact_div", counting_exact_div)
+    monkeypatch.setattr(poly, "_divide_factor", counting_divide_factor)
     rf = RationalFunction(x.num * (L - 2), x.den)
+    # the spy sees a division where one is due: a named f_1 over a multiple of it
+    RationalFunction._from_exps(ONE + L, {1: 1}, _factor(1) * (ONE - L))
     monkeypatch.undo()
     assert (rf.num, rf.den) == (x.num * (L - 2), x.den)
-    assert calls == []
+    assert calls == [1]
 
 
 def _divides(p, divisor):
     try:
-        p.exact_div(divisor)
+        exact_div(p, divisor)
     except NotDivisible:
         return False
     return True

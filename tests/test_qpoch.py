@@ -2,15 +2,19 @@
 
 The products (-bq^m;q)_k are tested as the library forms them: expanding a
 rational function's known factors one at a time (``rrcf.poly._times_factors``).
+The products (q^m;q)_k are the tests' own plain products (``oracles.poch_q``),
+and the q-binomials are checked against their exact quotients and against
+the q-Pascal rule, two routes that share no code with ``rrcf.qpoch``.
 """
 
 import math
 
 import pytest
 
+from oracles import exact_div, poch_q
 from rrcf import qpoch
 from rrcf.poly import B, ONE, Q, RationalFunction, _times_factors
-from rrcf.qpoch import poch_q, q_binomial
+from rrcf.qpoch import q_binomial
 
 
 def poch_neg_bq(m, k):
@@ -131,6 +135,13 @@ def test_gaussian_binomial_integrality():
             assert q_binomial(a, k) * poch_q(k) * poch_q(a - k) == poch_q(a)
 
 
+def test_q_binomial_is_the_exact_quotient_of_products():
+    # [a, k] = (q^(a-k+1);q)_k / (q;q)_k, by long division
+    for a in range(0, 41):
+        for k in range(0, a + 1):
+            assert q_binomial(a, k) == exact_div(poch_q(k, a - k + 1), poch_q(k))
+
+
 def test_q_binomial_small():
     assert q_binomial(0, 0) == ONE
     assert q_binomial(2, 1) == ONE + Q
@@ -176,35 +187,21 @@ def test_q_binomial_rejects_out_of_range():
 def test_non_int_arguments_raise_whatever_is_cached(call, args):
     # The int twin of each argument tuple is cached first: a typed table must
     # still send the float or bool to the type check.  True == 1, so an
-    # untyped table reads poch_q(True, 2) as (q^2;q)_1.
+    # untyped table reads q_binomial(True, 1) as [1, 1].  The uncached
+    # oracle poch_q must reject them too, or it would take True for 1.
     twin = tuple(int(x) for x in args)
     call(*twin)
     with pytest.raises(TypeError, match="must be an int"):
         call(*args)
-    qpoch._product.cache_clear()
     q_binomial.cache_clear()
     with pytest.raises(TypeError, match="must be an int"):
         call(*args)
 
 
-def test_product_cache_is_bounded():
-    cache = qpoch._product
-    maxsize = cache.cache_info().maxsize
-    assert maxsize is not None and maxsize == qpoch._PRODUCT_CACHE_SIZE
-    try:
-        for m in range(1, maxsize + 10):  # two new entries each: k = 1 and k = 0
-            assert poch_q(1, m) == ONE - Q**m
-        info = cache.cache_info()
-        assert info.misses > maxsize
-        assert info.currsize <= maxsize
-    finally:
-        cache.cache_clear()
-
-
 def test_q_binomial_cache_is_bounded():
     cache = q_binomial
     maxsize = cache.cache_info().maxsize
-    assert maxsize is not None and maxsize == qpoch._PRODUCT_CACHE_SIZE
+    assert maxsize is not None and maxsize == qpoch._Q_BINOMIAL_CACHE_SIZE
     try:
         for a in range(maxsize + 10):  # one new entry each, [a, 0]_q = 1
             assert q_binomial(a, 0) == ONE
@@ -213,4 +210,3 @@ def test_q_binomial_cache_is_bounded():
         assert info.currsize <= maxsize
     finally:
         cache.cache_clear()
-        qpoch._product.cache_clear()

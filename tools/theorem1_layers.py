@@ -50,7 +50,7 @@ def time_depth(n: int, src: str) -> dict:
     if not equal:
         raise RuntimeError(f"theorem1 fails at n = {n}")
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    timed("forward", lambda: core.cf_convergents_forward(spec))
+    timed("forward", lambda: list(core.cf_convergents_iter(spec)))
     return {
         "s": times,
         "theorem1_s": round(sum(times[k] for k in THEOREM1_LAYERS), 4),
