@@ -297,18 +297,6 @@ class Polynomial:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def eval_numeric(self, q: float, lam: float, b: float) -> float:
-        """Floating-point value at (q, lam, b); exact coefficients, float powers."""
-        if not self._terms:
-            return 0.0
-        parts = []
-        pq = _PowerCache(q)
-        pl = _PowerCache(lam)
-        pb = _PowerCache(b)
-        for (eq, el, eb), c in self._terms.items():
-            parts.append(float(c) * pq[eq] * pl[el] * pb[eb])
-        return math.fsum(parts)
-
     def eval_exact(self, q: int, lam: int, b: int) -> int:
         return sum(c * q**eq * lam**el * b**eb for (eq, el, eb), c in self._terms.items())
 
@@ -364,22 +352,6 @@ class Polynomial:
         """Inverse of to_terms_json; every coefficient and exponent must read as a decimal integer."""
         # via str, so that a float or "1/2" raises instead of being truncated
         return cls({tuple(int(str(t[v])) for v in "qlb"): int(str(t["c"])) for t in data})
-
-
-class _PowerCache:
-    """Memoized nonnegative powers of one float."""
-
-    __slots__ = ("x", "pows")
-
-    def __init__(self, x: float):
-        self.x = float(x)
-        self.pows = [1.0]
-
-    def __getitem__(self, e: int) -> float:
-        pows = self.pows
-        while len(pows) <= e:
-            pows.append(pows[-1] * self.x)
-        return pows[e]
 
 
 ZERO = Polynomial._raw({})
@@ -765,10 +737,7 @@ class RationalFunction:
     # canonical form is not unique, so no hash can agree with __eq__
     __hash__ = None
 
-    # -- evaluation, substitution, rendering ---------------------------------
-
-    def eval_numeric(self, q: float, lam: float, b: float) -> float:
-        return self.num.eval_numeric(q, lam, b) / self.den.eval_numeric(q, lam, b)
+    # -- substitution, rendering ----------------------------------------------
 
     def substitute(self, var: str, value: int) -> "RationalFunction":
         den = self.den.substitute(var, value)

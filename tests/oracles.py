@@ -6,13 +6,16 @@ divisibility test.  ``poch_q`` is the q-rising factorial (q^m;q)_k as a plain
 product of its factors; the library builds q-binomials on one coefficient
 list and forms no such product.  So ``exact_div(poch_q(k, a-k+1), poch_q(k))``
 is a q-binomial found by a route that shares no code with ``rrcf.qpoch``.
+``eval_polynomial`` and ``eval_rational`` evaluate an exact value in floats,
+as the float oracle for ``rrcf.numeric``, which shares no code with them.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
-from rrcf.poly import ONE, ZERO, DivisionByZero, Polynomial, Q
+from rrcf.poly import ONE, ZERO, DivisionByZero, Polynomial, Q, RationalFunction
 
 
 class NotDivisible(ArithmeticError):
@@ -88,3 +91,30 @@ def poch_q(k: int, m: int = 1) -> Polynomial:
     for j in range(m, m + k):
         prod = prod * (ONE - Q**j)
     return prod
+
+
+class _PowerCache:
+    """Memoized nonnegative powers of one float."""
+
+    __slots__ = ("x", "pows")
+
+    def __init__(self, x: float):
+        self.x = float(x)
+        self.pows = [1.0]
+
+    def __getitem__(self, e: int) -> float:
+        pows = self.pows
+        while len(pows) <= e:
+            pows.append(pows[-1] * self.x)
+        return pows[e]
+
+
+def eval_polynomial(p: Polynomial, q: float, lam: float, b: float) -> float:
+    """Floating-point value of p at (q, lam, b); exact coefficients, float powers."""
+    pq, pl, pb = _PowerCache(q), _PowerCache(lam), _PowerCache(b)
+    return math.fsum(float(c) * pq[eq] * pl[el] * pb[eb] for (eq, el, eb), c in p.terms())
+
+
+def eval_rational(rf: RationalFunction, q: float, lam: float, b: float) -> float:
+    """Floating-point value of rf at (q, lam, b): its numerator's over its denominator's."""
+    return eval_polynomial(rf.num, q, lam, b) / eval_polynomial(rf.den, q, lam, b)

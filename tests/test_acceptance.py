@@ -8,6 +8,7 @@ zero tolerance); the numeric criteria carry the tolerances stated with them.
 import math
 import time
 
+from oracles import eval_rational
 from rrcf import cli, core, verify
 from rrcf.core import (
     CFSpec,
@@ -132,7 +133,7 @@ def test_criterion_8_exact_numeric_consistency():
     for n in range(1, 13):
         exact_rf = convergent(n)
         for q, lam, b in points:
-            exact = exact_rf.eval_numeric(q, lam, b)
+            exact = eval_rational(exact_rf, q, lam, b)
             approx = cf_numeric(NumericPoint(q=q, lam=lam, b=b), n)
             ok = ok and math.isclose(exact, approx, rel_tol=1e-10)
     _report("8 exact vs numeric convergents on 18-point grid, n <= 12, 1e-10 relative", ok)

@@ -238,6 +238,37 @@ def test_eval_json_round_trips(capsys):
     assert report.rows[-1].n == 5
 
 
+def test_eval_rejects_n_max_above_cap_before_building_a_table(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli.numeric, "convergence_demo", no_table)
+    code, out, err = run_cli(
+        capsys, "eval", "--q", "0.5", "--lambda", "1", "--b", "0.5", "--n-max", str(cli.EVAL_N_MAX_CAP + 1)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n-max must be <= 100000, got 100001\n"
+
+
+def test_eval_accepts_n_max_at_cap(capsys, tmp_path):
+    target = tmp_path / "cap.csv"
+    code, out, err = run_cli(
+        capsys, "eval", "--q", "0.5", "--lambda", "1", "--b", "0.5",
+        "--n-max", str(cli.EVAL_N_MAX_CAP), "--format", "csv", "--out", str(target),
+    )
+    assert (code, out, err) == (0, "", "")
+    lines = target.read_text().splitlines()
+    assert len(lines) == cli.EVAL_N_MAX_CAP + 1
+    assert lines[-1].startswith(f"{cli.EVAL_N_MAX_CAP},")
+
+
+def test_eval_help_names_the_n_max_cap(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--help")
+    assert code == 0
+    assert "1..100000" in out
+
+
 # -- shared behavior ------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oracles import eval_rational
 from rrcf.core import convergent
 from rrcf.numeric import (
     ConvergenceReport,
@@ -101,7 +102,7 @@ def test_series_ratio_breakdown_at_pole():
 
 def test_exact_matches_numeric_at_desk_point():
     for n in range(1, 13):
-        exact = convergent(n).eval_numeric(DESK_POINT.q, DESK_POINT.lam, DESK_POINT.b)
+        exact = eval_rational(convergent(n), DESK_POINT.q, DESK_POINT.lam, DESK_POINT.b)
         assert math.isclose(exact, cf_numeric(DESK_POINT, n), rel_tol=1e-12), n
 
 
@@ -109,7 +110,7 @@ def test_exact_matches_numeric_on_grid():
     for n in range(1, 13):
         exact_rf = convergent(n)
         for pt in GRID:
-            exact = exact_rf.eval_numeric(pt.q, pt.lam, pt.b)
+            exact = eval_rational(exact_rf, pt.q, pt.lam, pt.b)
             approx = cf_numeric(pt, n)
             assert math.isclose(exact, approx, rel_tol=1e-10), (pt, n)
 
@@ -214,6 +215,11 @@ def _outcome(fn, *args):
         return (type(exc), str(exc))
 
 
+def _bits(outcome):
+    """A float outcome as its exact bits (float.hex tells -0.0 from 0.0); an error as it is."""
+    return outcome.hex() if isinstance(outcome, float) else outcome
+
+
 def _oracle_points():
     rng = random.Random(20161)
     points = [
@@ -240,7 +246,9 @@ def test_shared_table_is_bit_identical_to_per_row_recurrence():
     broken = 0
     for pt in _oracle_points():
         expected = [_outcome(_reference_cf, pt, n) for n in range(1, ORACLE_N_MAX + 1)]
-        assert [_outcome(cf_numeric, pt, n) for n in range(1, ORACLE_N_MAX + 1)] == expected, pt
+        assert [_bits(_outcome(cf_numeric, pt, n)) for n in range(1, ORACLE_N_MAX + 1)] == [
+            _bits(e) for e in expected
+        ], pt
         failures = [e for e in expected if isinstance(e, tuple)]
         if failures:
             # the demo stops at the first row that breaks down, with that row's error
@@ -248,9 +256,54 @@ def test_shared_table_is_bit_identical_to_per_row_recurrence():
             broken += 1
             continue
         report = convergence_demo(pt, ORACLE_N_MAX, 50)
-        assert [r.convergent for r in report.rows] == expected, pt
-        assert [r.deviation for r in report.rows] == [abs(e - report.series_ratio) for e in expected], pt
+        assert [r.convergent.hex() for r in report.rows] == [e.hex() for e in expected], pt
+        assert [r.deviation.hex() for r in report.rows] == [
+            abs(e - report.series_ratio).hex() for e in expected
+        ], pt
     assert broken == 24
+
+
+DEEP_N_MAX = 1000
+
+
+@pytest.mark.parametrize(
+    "pt, broken_at",
+    [
+        pytest.param(NumericPoint(q=0.0, lam=1.5, b=0.5), None, id="q=0"),
+        pytest.param(NumericPoint(q=0.6, lam=0.0, b=1.5), None, id="lambda=0"),
+        # near |q| = 1 with |lambda| = 2 a depth's tails meet the last depth's up to 25 levels down
+        *(
+            pytest.param(NumericPoint(q=q, lam=lam, b=0.5), None, id=f"q={q},lambda={lam}")
+            for q in (0.899, -0.899)
+            for lam in (2.0, -2.0)
+        ),
+        # within 1e-9 of the pole b = -q^(-3)
+        pytest.param(NumericPoint(q=0.7, lam=1.0, b=-(0.7**-3) + 5e-10), None, id="near-pole"),
+        # 1 + b q^20 is exactly 0, so the tail T_20 vanishes at depth 20
+        pytest.param(NumericPoint(q=0.5, lam=1.0, b=-(2.0**20)), 20, id="breaks-at-20"),
+        # one ulp off the pole b = -q^(-3), c[3] = 2^-53: depth 3's T_2 is about 1.4e14, so its
+        # T_1 rounds to c[1] exactly, which is not depth 2's T_1; a tail list that kept only the
+        # seeds c[j] would match there and repeat depth 2's convergent
+        pytest.param(NumericPoint(q=0.25, lam=1.0, b=math.nextafter(-64.0, 0.0)), None, id="one-ulp-off-pole"),
+        # depth 2's T_1 = 1.5 - 0.3125/1.25 = 1.25 is depth 2's own T_2 = c[2], not depth 1's T_1
+        pytest.param(NumericPoint(q=0.5, lam=-1.25, b=1.0), None, id="T1-equals-T2"),
+    ],
+)
+def test_shared_tails_are_bit_identical_to_every_depth(pt, broken_at):
+    # every depth of a deep table against its own full recurrence, cf_numeric
+    expected = [_outcome(cf_numeric, pt, n) for n in range(1, DEEP_N_MAX + 1)]
+    failures = [e for e in expected if isinstance(e, tuple)]
+    good = DEEP_N_MAX
+    if failures:
+        good = expected.index(failures[0])
+        assert _outcome(convergence_demo, pt, DEEP_N_MAX, 50) == failures[0]
+    assert (None if good == DEEP_N_MAX else good + 1) == broken_at
+    if good:
+        report = convergence_demo(pt, good, 50)
+        assert [r.convergent.hex() for r in report.rows] == [e.hex() for e in expected[:good]]
+        assert [r.deviation.hex() for r in report.rows] == [
+            abs(e - report.series_ratio).hex() for e in expected[:good]
+        ]
 
 
 @pytest.mark.parametrize("b, tail", [(-2.0, 1), (-4.0, 2)])

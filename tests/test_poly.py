@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import NotDivisible, exact_div
+from oracles import NotDivisible, eval_polynomial, exact_div
 from rrcf import poly
 from rrcf.core import g
 from rrcf.poly import (
@@ -311,9 +311,9 @@ def test_fraction_scalars_go_through_rational_function():
 
 
 def test_eval_examples():
-    assert (ONE + Q).eval_numeric(0.5, 0.0, 0.0) == 1.5
-    assert ZERO.eval_numeric(0.3, 1.0, 2.0) == 0.0
-    assert math.isclose((ONE + B * Q + L * Q**2).eval_numeric(0.1, 1.0, 0.5), 1.06, rel_tol=1e-15)
+    assert eval_polynomial(ONE + Q, 0.5, 0.0, 0.0) == 1.5
+    assert eval_polynomial(ZERO, 0.3, 1.0, 2.0) == 0.0
+    assert math.isclose(eval_polynomial(ONE + B * Q + L * Q**2, 0.1, 1.0, 0.5), 1.06, rel_tol=1e-15)
 
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -329,9 +329,9 @@ def test_eval_is_ring_homomorphism(p, r, q, lam, b):
     scale = (1.0 + sum(abs(float(c)) for _, c in p.terms())) * (
         1.0 + sum(abs(float(c)) for _, c in r.terms())
     )
-    ep, er = p.eval_numeric(q, lam, b), r.eval_numeric(q, lam, b)
-    assert math.isclose((p + r).eval_numeric(q, lam, b), ep + er, rel_tol=1e-12, abs_tol=1e-12 * scale)
-    assert math.isclose((p * r).eval_numeric(q, lam, b), ep * er, rel_tol=1e-12, abs_tol=1e-12 * scale)
+    ep, er = eval_polynomial(p, q, lam, b), eval_polynomial(r, q, lam, b)
+    assert math.isclose(eval_polynomial(p + r, q, lam, b), ep + er, rel_tol=1e-12, abs_tol=1e-12 * scale)
+    assert math.isclose(eval_polynomial(p * r, q, lam, b), ep * er, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
 # -- rational functions ------------------------------------------------------
