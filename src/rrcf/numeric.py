@@ -15,12 +15,15 @@ an unconverged value.
 
 The convergents are evaluated by the backward recurrence in double
 precision.  Its coefficients c[j] = 1 + b*q^j and a[j] = lam*q^(j+1) depend
-only on j, so each point builds them once, as a table of 2n+1 floats read
-off one table of the powers q^0..q^n (n+1 power calls).  The rows also share
-their tails (see ``convergence_demo``): at n_max = 40, over random q in
-(-0.9, 0.9) and lam, b in [-2, 2], a point takes 156 backward steps on
-average instead of the n_max(n_max-1)/2 = 780 of a full recurrence per row,
-with every printed bit the same.
+only on j, so a table costs one map of ``pow`` over j = 0..n (the same
+``q**j`` float operation), two lists of coefficients read off it, one list of
+convergents filled by a countdown that shares the tails across depths (see
+``convergence_demo``), and one C-level pass that turns that list into the
+rows, with no Python call per row.  At n_max = 40, over random q in
+(-0.9, 0.9) and lam, b in [-2, 2], a point takes 158 backward steps on
+average (median 125, at most 714 over 20 000 points) instead of the
+n_max(n_max-1)/2 = 780 of a full recurrence per row, with every printed bit
+the same.
 
 A row of the table is a ``ConvergenceRow`` NamedTuple (n, convergent,
 deviation): it compares equal to the plain tuple of its fields, and a
@@ -35,6 +38,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import sub
 from typing import NamedTuple
 
 __all__ = [
@@ -60,8 +65,9 @@ class NumericBreakdown(ArithmeticError):
     """No trustworthy float value at this point.
 
     Raised at a pole (a continued-fraction tail vanished to machine
-    precision, or a factor 1 + b*q^j of the series is zero), and when the
-    series has not converged within its term bound.
+    precision, or a factor 1 + b*q^j of the series is zero), when the
+    series' running products underflow to zero, and when the series has not
+    converged within its term bound.
     """
 
 
@@ -102,8 +108,13 @@ def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, i
         try:
             t = q_sq * lam_k / (fac_q * fac_b)
         except ZeroDivisionError:
+            if 1.0 + b * q_k == 0.0:  # the factor just taken into (-bq;q)_k is exactly zero
+                raise NumericBreakdown(
+                    f"(-bq;q)_{k} vanishes at (q={q}, lam={lam}, b={b}): b is a pole of the series"
+                ) from None
             raise NumericBreakdown(
-                f"(-bq;q)_{k} vanishes at (q={q}, lam={lam}, b={b}): b is a pole of the series"
+                f"the running products (q;q)_k (-bq;q)_k underflowed to 0 in double precision"
+                f" at k={k}, (q={q}, lam={lam}, b={b})"
             ) from None
         num += t
         den += t * q_k
@@ -131,7 +142,7 @@ def _coefficients(pt: NumericPoint, n: int) -> tuple[list[float], list[float]]:
     # c[j] = 1 + b*q^j for j = 0..n and a[j] = lam*q^(j+1) for j = 0..n-1: the
     # partial denominators and numerators of every convergent up to depth n.
     q, lam, b = pt.q, pt.lam, pt.b
-    powers = [q**j for j in range(n + 1)]
+    powers = list(map(pow, repeat(q), range(n + 1)))  # pow(q, j) is q**j
     return [1.0 + b * p for p in powers], [lam * p for p in powers[1:]]
 
 
@@ -225,6 +236,12 @@ def convergence_demo(pt: NumericPoint, n_max: int, max_terms: int = 50) -> Conve
     1e-280 would have stopped the table at depth n-1, so from the matching
     level down depth n would repeat depth n-1's float operations.  The first
     depth that breaks down raises its own error.
+
+    The rows are built in one pass of ``tuple.__new__(ConvergenceRow, (n, v, d))``
+    over the convergents v, with d = abs(v - ratio) from ``operator.sub``.
+    That is what the NamedTuple's own ``__new__`` does, so each row is the
+    same ``ConvergenceRow`` as ``ConvergenceRow(n, v, abs(v - ratio))``,
+    without a Python frame per row.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -234,19 +251,28 @@ def convergence_demo(pt: NumericPoint, n_max: int, max_terms: int = 50) -> Conve
     c, a = _coefficients(pt, n_max)
     # tails[j] is the float T_j of the last finished depth, for j up to that depth
     tails = c.copy()
-    rows = []
+    values = []  # the convergent of each depth
     for n in range(1, n_max + 1):
         t = c[n]
-        for j in range(n - 1, 0, -1):
+        j = n - 1
+        while j:
             if -1e-280 < t < 1e-280:
                 _breakdown(pt, c, a, n)
             t = c[j] + a[j] / t
             if t == tails[j]:
-                break  # from here down, depth n repeats depth n-1: the same convergent
+                break  # from here down, depth n repeats depth n-1: carry its convergent
             tails[j] = t
+            j -= 1
         else:
             if -1e-280 < t < 1e-280:
                 _breakdown(pt, c, a, n)
             value = 1.0 + a[0] / t
-        rows.append(ConvergenceRow(n, value, abs(value - ratio)))
-    return ConvergenceReport(point=pt, series_ratio=ratio, truncation_terms=used, rows=tuple(rows))
+        values.append(value)
+    rows = tuple(
+        map(
+            tuple.__new__,
+            repeat(ConvergenceRow),
+            zip(range(1, n_max + 1), values, map(abs, map(sub, values, repeat(ratio)))),
+        )
+    )
+    return ConvergenceReport(point=pt, series_ratio=ratio, truncation_terms=used, rows=rows)

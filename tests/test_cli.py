@@ -208,6 +208,15 @@ def test_eval_at_pole_is_clean_error(capsys):
     assert err.startswith("error: ") and "pole" in err
 
 
+def test_eval_series_underflow_is_clean_error_not_a_pole(capsys):
+    # (q;q)_k underflows to 0.0 at k = 352 although no factor 1 + 0.5 q^k is zero
+    argv = ("eval", "--q", "0.999", "--lambda", "2", "--b", "0.5", "--k", "20000", "--n-max", "5")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "underflowed" in err and "pole" not in err
+
+
 def test_eval_unconverged_series_is_clean_error(capsys):
     # one series term is far from the converged ratio 1.3443079305048562
     code, out, err = run_cli(capsys, "eval", "--q", "0.5", "--lambda", "1", "--b", "0.5", "--k", "1")

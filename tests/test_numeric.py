@@ -10,6 +10,7 @@ from oracles import eval_rational
 from rrcf.core import convergent
 from rrcf.numeric import (
     ConvergenceReport,
+    ConvergenceRow,
     NonConvergent,
     NumericBreakdown,
     NumericPoint,
@@ -92,12 +93,25 @@ def test_cf_numeric_breakdown_on_vanishing_tail():
 
 def test_series_ratio_breakdown_at_pole():
     # b = -q^(-j) zeroes the factor 1 + b q^j of (-bq;q)_k for every k >= j
-    for q, b in ((0.5, -2.0), (0.5, -4.0), (-0.5, 2.0)):
+    for q, b, j in ((0.5, -2.0, 1), (0.5, -4.0, 2), (-0.5, 2.0, 1)):
         pt = NumericPoint(q=q, lam=1.0, b=b)
-        with pytest.raises(NumericBreakdown, match="pole"):
-            series_ratio_entry15(pt, 50)
+        message = f"(-bq;q)_{j} vanishes at (q={q}, lam=1.0, b={b}): b is a pole of the series"
+        assert _outcome(series_ratio_entry15, pt, 50) == (NumericBreakdown, message)
         with pytest.raises(NumericBreakdown):
             convergence_demo(pt, 10)
+
+
+def test_series_underflow_is_not_reported_as_pole():
+    # every factor 1 + 0.5 q^k exceeds 1, but (q;q)_k underflows to 0.0 at k = 352
+    pt = NumericPoint(q=0.999, lam=2.0, b=0.5)
+    kind, message = _outcome(series_ratio_entry15, pt, 20000)
+    assert kind is NumericBreakdown
+    assert "pole" not in message
+    assert message == (
+        "the running products (q;q)_k (-bq;q)_k underflowed to 0 in double precision"
+        " at k=352, (q=0.999, lam=2.0, b=0.5)"
+    )
+    assert _outcome(convergence_demo, pt, 5, 20000) == (kind, message)
 
 
 def test_exact_matches_numeric_at_desk_point():
@@ -242,6 +256,26 @@ def _oracle_points():
 ORACLE_N_MAX = 60
 
 
+def _assert_table(pt, n_max, expected):
+    """convergence_demo(pt, n_max) against the per-depth outcomes expected[:n_max], bit for bit."""
+    expected = expected[:n_max]
+    failures = [e for e in expected if isinstance(e, tuple)]
+    if failures:
+        # the demo stops at the first row that breaks down, with that row's error
+        assert _outcome(convergence_demo, pt, n_max, 50) == failures[0], (pt, n_max)
+        return
+    report = convergence_demo(pt, n_max, 50)
+    rows = report.rows
+    assert all(type(r) is ConvergenceRow for r in rows), (pt, n_max)
+    assert [r.n for r in rows] == list(range(1, n_max + 1)), (pt, n_max)
+    assert [r.convergent.hex() for r in rows] == [e.hex() for e in expected], (pt, n_max)
+    assert [r.deviation.hex() for r in rows] == [
+        abs(e - report.series_ratio).hex() for e in expected
+    ], (pt, n_max)
+    last = rows[-1]
+    assert last._replace(n=0) == (0, last.convergent, last.deviation)
+
+
 def test_shared_table_is_bit_identical_to_per_row_recurrence():
     broken = 0
     for pt in _oracle_points():
@@ -249,17 +283,10 @@ def test_shared_table_is_bit_identical_to_per_row_recurrence():
         assert [_bits(_outcome(cf_numeric, pt, n)) for n in range(1, ORACLE_N_MAX + 1)] == [
             _bits(e) for e in expected
         ], pt
-        failures = [e for e in expected if isinstance(e, tuple)]
-        if failures:
-            # the demo stops at the first row that breaks down, with that row's error
-            assert _outcome(convergence_demo, pt, ORACLE_N_MAX, 50) == failures[0], pt
-            broken += 1
-            continue
-        report = convergence_demo(pt, ORACLE_N_MAX, 50)
-        assert [r.convergent.hex() for r in report.rows] == [e.hex() for e in expected], pt
-        assert [r.deviation.hex() for r in report.rows] == [
-            abs(e - report.series_ratio).hex() for e in expected
-        ], pt
+        # n_max = 1 and 2: no row before the first to carry, and one before the second
+        for n_max in (1, 2, ORACLE_N_MAX):
+            _assert_table(pt, n_max, expected)
+        broken += any(isinstance(e, tuple) for e in expected)
     assert broken == 24
 
 
@@ -293,17 +320,11 @@ def test_shared_tails_are_bit_identical_to_every_depth(pt, broken_at):
     # every depth of a deep table against its own full recurrence, cf_numeric
     expected = [_outcome(cf_numeric, pt, n) for n in range(1, DEEP_N_MAX + 1)]
     failures = [e for e in expected if isinstance(e, tuple)]
-    good = DEEP_N_MAX
-    if failures:
-        good = expected.index(failures[0])
-        assert _outcome(convergence_demo, pt, DEEP_N_MAX, 50) == failures[0]
+    good = expected.index(failures[0]) if failures else DEEP_N_MAX
     assert (None if good == DEEP_N_MAX else good + 1) == broken_at
-    if good:
-        report = convergence_demo(pt, good, 50)
-        assert [r.convergent.hex() for r in report.rows] == [e.hex() for e in expected[:good]]
-        assert [r.deviation.hex() for r in report.rows] == [
-            abs(e - report.series_ratio).hex() for e in expected[:good]
-        ]
+    # the whole table, the longest table with no broken row, and the shortest two
+    for n_max in sorted({1, 2, good, DEEP_N_MAX} - {0}):
+        _assert_table(pt, n_max, expected)
 
 
 @pytest.mark.parametrize("b, tail", [(-2.0, 1), (-4.0, 2)])
