@@ -19,11 +19,10 @@ only on j, so a table costs one list of the powers q**j for j = 0..n, two
 lists of coefficients read off it, one list of convergents filled by a
 countdown that shares the tails across depths (see ``convergence_demo``),
 and one C-level pass that turns that list into the rows, with no Python call
-per row.  At n_max = 40, over random q in
-(-0.9, 0.9) and lam, b in [-2, 2], a point takes 158 backward steps on
-average (median 125, at most 714 over 20 000 points) instead of the
-n_max(n_max-1)/2 = 780 of a full recurrence per row, with every printed bit
-the same.
+per row.  At n_max = 40, over random q in (-0.9, 0.9) and lam, b in [-2, 2],
+a point takes 158 backward steps on average (median 125, at most 714 over
+20 000 points) instead of the n_max(n_max-1)/2 = 780 of a full recurrence
+per row, with every printed bit the same.
 
 A row of the table is a ``ConvergenceRow`` NamedTuple (n, convergent,
 deviation): it compares equal to the plain tuple of its fields, and a
