@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .poly import B, L, ONE, ZERO, Polynomial, Q, RationalFunction, _times_factor
+from .poly import B, L, ONE, ZERO, Polynomial, Q, RationalFunction, _cf_level, _times_factor
 from .qpoch import q_binomial
 
 __all__ = [
@@ -207,14 +207,15 @@ def cf_finite_backward(spec: CFSpec) -> RationalFunction:
     """Evaluate the continued fraction innermost-tail-first.
 
     T_n = b_n, then T_j = b_j + a_{j+1}/T_{j+1} down to T_0 = leading + a_1/T_1.
+    CFSpec checks that b_j = f_j = 1 + b*q^j, a_j = l*q^j and leading = f_0,
+    so each level T_j = f_j + l*q^(j+1)/T_{j+1} is one ``poly._cf_level``
+    pass, which skips normalisation: its result is already normal.
     """
     t = RationalFunction(spec.partial_denominators[-1])
     _assert_unit_constant(t)
-    for j in range(spec.depth - 1, 0, -1):
-        t = spec.partial_denominators[j - 1] + spec.partial_numerators[j] / t
+    for j in range(spec.depth - 1, -1, -1):
+        t = _cf_level(j, t)
         _assert_unit_constant(t)
-    t = spec.leading + spec.partial_numerators[0] / t
-    _assert_unit_constant(t)
     return t
 
 

@@ -11,7 +11,9 @@ Rational functions are quotients of two polynomials, kept in a normal form:
 * integer content divided out, so numerator and denominator have overall
   content 1;
 * the denominator's coefficient at its lexicographically smallest monomial
-  (ordering q, then l, then b) is positive;
+  (ordering q, then l, then b) is positive; the monomial 1 sorts first, so
+  a denominator with a constant term is signed by it, and only one without
+  needs a search for its smallest monomial;
 * every factor ``f_j = 1 + b*q^j`` that the value names (see below) and
   that the other side also holds is cancelled.
 
@@ -53,18 +55,27 @@ and add, and cached on the value.  Equality compares the internal forms,
 then the expanded ``num`` and ``den``, and cross-multiplies only when both
 differ.
 
-Two lemmas let the operations that build the continued fraction (each level
-of ``core.cf_finite_backward`` and of the recursion descent is
-``1+b*q^j + l*q^(j+1)/T``) skip normalisation, because the result is
-already normal when the operand ``x = A/D`` is:
+Three lemmas let the operations that build the continued fraction skip
+normalisation, because the result is already normal when the operand
+``x = A/D`` is:
 
 * a sum with a polynomial p (residual denominator 1, no negative
   exponent): ``x + p = (A + p*D)/D``.  An f_j or an integer that divides
   D and A + p*D divides A too, and D keeps its sign; the common f_j are
-  taken out as in every sum.
+  taken out as in every sum.  A polynomial over 1 is itself normal, so
+  ``RationalFunction(p)`` keeps it as it stands.
 * a product or quotient with a monomial m: every f_j has constant term 1,
   so none divides m.  Only the content and, when m or A moves into the
   denominator, the sign are left to fix.
+* one level ``f_j + l*q^(j+1)/x`` of the continued fraction (each level of
+  ``core.cf_finite_backward`` and of the recursion descent), the two above
+  in turn: ``l*q^(j+1)*D/A`` needs no content pass, as the monomial has
+  coefficient 1 and A/D has content 1, only A's sign; adding f_j keeps the
+  denominator A.  ``_cf_level`` builds f_j*A and adds ``l*q^(j+1)*D`` in
+  one pass, with no intermediate value.
+
+Substituting b = 0 needs no expansion either: every f_j is 1 there, so
+the residuals alone give the value.
 
 ``Fraction`` enters only as a ``RationalFunction`` scalar, as a constructor
 argument or an arithmetic operand; it is split there into an integer
@@ -120,10 +131,21 @@ def _var_index(var: str) -> int:
         raise ValueError(f"unknown variable {var!r}: expected q, l or b") from None
 
 
+def _check_term(mono, key: tuple, c) -> None:
+    # exactly int: a bool is an int, and a float exponent would be truncated
+    if any(type(x) is not int for x in key):
+        raise TypeError(f"exponents of monomial {mono!r} are not all ints")
+    if type(c) is not int:
+        raise TypeError(f"coefficient {c!r} of monomial {mono!r} is not an int")
+    if key[0] < 0 or key[1] < 0 or key[2] < 0:
+        raise ValueError(f"negative exponent in monomial {mono!r}")
+
+
 class Polynomial:
     """Immutable sparse polynomial in q, l, b with integer coefficients."""
 
-    __slots__ = ("_terms",)
+    # _screen: the f_j family screen, set by _passes_screen when first needed
+    __slots__ = ("_terms", "_screen")
 
     def __init__(self, terms: Mapping[tuple, int] | Iterable[tuple] | None = None):
         store: dict[tuple, int] = {}
@@ -131,13 +153,7 @@ class Polynomial:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, c in items:
                 eq, el, eb = key = tuple(mono)
-                # exactly int: a bool is an int, and a float exponent would be truncated
-                if any(type(x) is not int for x in key):
-                    raise TypeError(f"exponents of monomial {mono!r} are not all ints")
-                if type(c) is not int:
-                    raise TypeError(f"coefficient {c!r} of monomial {mono!r} is not an int")
-                if eq < 0 or el < 0 or eb < 0:
-                    raise ValueError(f"negative exponent in monomial {mono!r}")
+                _check_term(mono, key, c)
                 if c == 0:
                     continue
                 s = store.get(key, 0) + c
@@ -156,11 +172,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls({_UNIT_MONO: c})
+        _check_term(_UNIT_MONO, _UNIT_MONO, c)
+        return cls._raw({_UNIT_MONO: c} if c else {})
 
     @classmethod
     def monomial(cls, eq: int, el: int = 0, eb: int = 0, coeff: int = 1) -> "Polynomial":
-        return cls({(eq, el, eb): coeff})
+        key = (eq, el, eb)
+        _check_term(key, key, coeff)
+        return cls._raw({key: coeff} if coeff else {})
 
     # -- inspection ---------------------------------------------------------
 
@@ -242,7 +261,7 @@ class Polynomial:
         return Polynomial.constant(other) - self
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is not a coefficient
             if other == 0:
                 return ZERO
             return Polynomial._raw({k: v * other for k, v in self._terms.items()})
@@ -305,6 +324,8 @@ class Polynomial:
         if type(value) is not int:  # as in the constructor, a bool is rejected
             raise TypeError(f"substitute takes an int, got {value!r}")
         i = _var_index(var)
+        if value == 0:  # 0**0 is 1: the terms free of var stay, the rest vanish
+            return Polynomial._raw({k: c for k, c in self._terms.items() if not k[i]})
         acc: dict[tuple, int] = {}
         for key, c in self._terms.items():
             newkey = list(key)
@@ -359,6 +380,17 @@ ONE = Polynomial._raw({_UNIT_MONO: 1})
 Q = Polynomial._raw({(1, 0, 0): 1})
 L = Polynomial._raw({(0, 1, 0): 1})
 B = Polynomial._raw({(0, 0, 1): 1})
+
+
+def _leads_negative(p: Polynomial) -> bool:
+    """Whether the coefficient at p's lexicographically smallest monomial is negative.
+
+    The monomial 1 sorts first, so a constant term decides without a scan.
+    """
+    c = p._terms.get(_UNIT_MONO)
+    if c is None:
+        c = p._terms[min(p._terms)]
+    return c < 0
 
 
 def _normalize_content(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -461,6 +493,30 @@ def _vanishes_at_factor_roots(p: Polynomial) -> bool:
     return not any(acc.values())
 
 
+def _passes_screen(p: Polynomial) -> bool:
+    """_vanishes_at_factor_roots(p), computed once per polynomial and kept on it."""
+    try:
+        return p._screen
+    except AttributeError:
+        p._screen = screen = _vanishes_at_factor_roots(p)
+        return screen
+
+
+def _split_exps(
+    exps_a: Mapping[int, int], exps_b: Mapping[int, int]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    # take min(e_a, e_b) of each f_j out of both terms of a sum: each
+    # numerator is multiplied only by the factors the other term lacks
+    common: dict[int, int] = {}
+    own_a: dict[int, int] = {}
+    own_b: dict[int, int] = {}
+    for j in exps_a.keys() | exps_b.keys():
+        ea, eb = exps_a.get(j, 0), exps_b.get(j, 0)
+        common[j] = m = min(ea, eb)
+        own_a[j], own_b[j] = ea - m, eb - m
+    return own_a, own_b, common
+
+
 def _normal_form(
     num: Polynomial, den: Polynomial, exps: Mapping[int, int]
 ) -> tuple[Polynomial, Polynomial, dict[int, int]]:
@@ -479,20 +535,11 @@ def _normal_form(
     if num.is_zero:
         return ZERO, ONE, {}
     res = list(_normalize_content(num, den))
-    # whether res[i] passes the f_j screen, computed when first needed; a
-    # pass only lets the exact test run, so a division need not redo it
-    screen: list[bool | None] = [None, None]
-
-    def holds(i: int, j: int) -> bool:
-        if screen[i] is None:
-            screen[i] = _vanishes_at_factor_roots(res[i])
-        return bool(screen[i]) and _factor_divides(j, res[i])
-
     kept = {}
     for j, e in exps.items():
         # f_j^e stands over the denominator's residual when e > 0, the numerator's when e < 0
         i, step = (1, -1) if e > 0 else (0, 1)
-        while e and holds(i, j):
+        while e and _passes_screen(res[i]) and _factor_divides(j, res[i]):
             res[i] = _divide_factor(res[i], j)
             e += step
         if e:
@@ -500,7 +547,7 @@ def _normal_form(
     # each f_j has content 1, so by Gauss's lemma cancelling them leaves
     # the joint content at 1
     num, den = res
-    if den.trailing()[1] < 0:
+    if _leads_negative(den):
         num, den = -num, -den
     return num, den, kept
 
@@ -522,8 +569,9 @@ class RationalFunction:
 
     A sum with a polynomial operand and a product or quotient with a
     monomial operand keep the other operand's normal form and skip
-    normalisation (the two lemmas of the module docstring); every other
-    operation normalises its result.
+    normalisation (the lemmas of the module docstring), as does a
+    polynomial over 1 in the constructor; every other operation normalises
+    its result.
 
     Equality first compares the two internal forms, then the expanded
     ``num`` and ``den``, and cross-multiplies only when both differ, so two
@@ -551,7 +599,12 @@ class RationalFunction:
         j = _factor_index(den)
         if j is not None:
             den, exps[j] = Polynomial.constant(den.constant_coeff), exps.get(j, 0) - 1
-        self._rnum, self._rden, self._exps = _normal_form(num, den, exps)
+        if den == ONE and all(e > 0 for e in exps.values()):
+            # a polynomial is already normal: content 1 against the denominator 1,
+            # and no named f_j over a residual it could divide
+            self._rnum, self._rden, self._exps = num, den, exps
+        else:
+            self._rnum, self._rden, self._exps = _normal_form(num, den, exps)
         self._num = self._den = None
 
     @classmethod
@@ -628,23 +681,11 @@ class RationalFunction:
     def _is_monomial(self) -> bool:
         return len(self._rnum) == 1 and self._rden == ONE and not self._exps
 
-    def _split_exps(self, other: "RationalFunction") -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-        # take min(e_self, e_other) of each f_j out of both terms: each
-        # numerator is multiplied only by the factors the other term lacks
-        common: dict[int, int] = {}
-        own_a: dict[int, int] = {}
-        own_b: dict[int, int] = {}
-        for j in self._exps.keys() | other._exps.keys():
-            ea, eb = self._exps.get(j, 0), other._exps.get(j, 0)
-            common[j] = m = min(ea, eb)
-            own_a[j], own_b[j] = ea - m, eb - m
-        return own_a, own_b, common
-
     def _plus_polynomial(self, p: "RationalFunction") -> "RationalFunction":
         # first lemma: A/D + p = (A + p*D)/D is already normal, since
         # whatever divides D and A + p*D divides A, and D keeps its sign;
         # p's own f_j go onto D by shift and add, after p's residual if not 1
-        own_a, own_p, common = self._split_exps(p)
+        own_a, own_p, common = _split_exps(self._exps, p._exps)
         pd = self._rden if p._rnum == ONE else p._rnum * self._rden
         num = _times_factors(self._rnum, own_a) + _times_factors(pd, own_p)
         if num.is_zero:
@@ -658,7 +699,7 @@ class RationalFunction:
         if num.is_zero:
             return RationalFunction._from_normal(ZERO, ONE, {})
         num, den = _normalize_content(num, den)
-        if den.trailing()[1] < 0:
+        if _leads_negative(den):
             num, den = -num, -den
         return RationalFunction._from_normal(num, den, exps)
 
@@ -670,7 +711,7 @@ class RationalFunction:
             return self._plus_polynomial(o)
         if self._is_polynomial():
             return o._plus_polynomial(self)
-        own_a, own_b, common = self._split_exps(o)
+        own_a, own_b, common = _split_exps(self._exps, o._exps)
         num_a, num_b = _times_factors(self._rnum, own_a), _times_factors(o._rnum, own_b)
         if self._den_exps() == o._den_exps() and self._rden == o._rden:
             return RationalFunction._from_exps(num_a + num_b, common, self._rden)
@@ -740,10 +781,12 @@ class RationalFunction:
     # -- substitution, rendering ----------------------------------------------
 
     def substitute(self, var: str, value: int) -> "RationalFunction":
-        den = self.den.substitute(var, value)
+        # every f_j is 1 at b = 0, so the residuals stand for num and den there
+        num, den = (self._rnum, self._rden) if var == "b" and value == 0 else (self.num, self.den)
+        den = den.substitute(var, value)
         if den.is_zero:
             raise DivisionByZero(f"denominator vanishes at {var}={value}")
-        return RationalFunction(self.num.substitute(var, value), den)
+        return RationalFunction(num.substitute(var, value), den)
 
     def __str__(self) -> str:
         if self.den == ONE:
@@ -759,3 +802,35 @@ class RationalFunction:
     @classmethod
     def from_json(cls, data: dict) -> "RationalFunction":
         return cls(Polynomial.from_terms_json(data["num"]), Polynomial.from_terms_json(data["den"]))
+
+
+def _cf_level(j: int, t: RationalFunction) -> RationalFunction:
+    """One level f_j + l*q^(j+1)/t of the continued fraction, for a normal t.
+
+    With t = A * prod f^E / D, this is the sum of the polynomial f_j and
+    l*q^(j+1)*D/A * prod f^-E, split as in ``_plus_polynomial``, with the
+    shifted D added in the pass that forms f_j*A.  The result is normal
+    over A with A's sign fixed (the third lemma of the module docstring).
+    """
+    a, d = t._rnum, t._rden
+    if a.is_zero:
+        raise DivisionByZero("division by zero rational function")
+    if _leads_negative(a):
+        a, d = -a, -d
+    own_d, own_a, common = _split_exps({i: -e for i, e in t._exps.items()}, {j: 1})
+    own_a[j] -= 1  # the last f_j on A, if any, is multiplied in the pass below
+    num_a, d = _times_factors(a, own_a), _times_factors(d, own_d)
+    terms = dict(num_a._terms)
+    get = terms.get
+    shifts = ((num_a, j, 0, 1),) if own_a[j] >= 0 else ()
+    for part, sq, sl, sb in shifts + ((d, j + 1, 1, 0),):
+        for (eq, el, eb), c in part._terms.items():
+            key = (eq + sq, el + sl, eb + sb)
+            s = get(key, 0) + c
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    if not terms:
+        return RationalFunction._from_normal(ZERO, ONE, {})
+    return RationalFunction._from_normal(Polynomial._raw(terms), a, {i: e for i, e in common.items() if e})

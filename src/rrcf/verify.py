@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import core
-from .poly import B, L, ONE, Polynomial, Q, RationalFunction
+from .poly import B, L, ONE, Polynomial, Q, RationalFunction, _cf_level
 
 __all__ = [
     "InvalidRange",
@@ -189,7 +189,7 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
     for n, fraction in _fractions(n_max):
         ratios = [(ONE + B * Q**s) * g_fn(n, s) / g_fn(n, s + 1) for s in range(n + 1)]
         for s in range(0, n):
-            rhs = (ONE + B * Q**s) + (L * Q ** (s + 1)) / ratios[s + 1]
+            rhs = _cf_level(s, ratios[s + 1])  # 1+bq^s + lq^(s+1)/R_(s+1)
             cases.append(_case(*compare(ratios[s], rhs), n=n, s=s))
         one = RationalFunction(ONE)
         ok_end, wit_end = compare(g_fn(n, n), one)
@@ -199,7 +199,7 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
         # unwind n levels from the seed R_n: this rebuilds the whole fraction
         value = ratios[n]
         for s in range(n - 1, -1, -1):
-            value = (ONE + B * Q**s) + (L * Q ** (s + 1)) / value
+            value = _cf_level(s, value)
         ok_it, wit_it = compare(value, fraction)
         cases.append(_case(ok_it, wit_it, n=n, s=n + 1))
     return VerificationReport(suite="recursion", cases=tuple(cases))

@@ -8,6 +8,12 @@ list and forms no such product.  So ``exact_div(poch_q(k, a-k+1), poch_q(k))``
 is a q-binomial found by a route that shares no code with ``rrcf.qpoch``.
 ``eval_polynomial`` and ``eval_rational`` evaluate an exact value in floats,
 as the float oracle for ``rrcf.numeric``, which shares no code with them.
+``substitute_by_terms`` sets one variable term by term, as the general
+loop of ``Polynomial.substitute`` does for any value.
+``cf_level_by_operators`` builds one level f_j + l*q^(j+1)/t of the
+continued fraction from the generic ``RationalFunction`` operators, and
+``cf_tails_by_operators`` every tail of the depth-n fraction with it; the
+library builds each level in one pass (``poly._cf_level``).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from rrcf.poly import ONE, ZERO, DivisionByZero, Polynomial, Q, RationalFunction
+from rrcf.poly import B, L, ONE, ZERO, DivisionByZero, Polynomial, Q, RationalFunction
 
 
 class NotDivisible(ArithmeticError):
@@ -118,3 +124,24 @@ def eval_polynomial(p: Polynomial, q: float, lam: float, b: float) -> float:
 def eval_rational(rf: RationalFunction, q: float, lam: float, b: float) -> float:
     """Floating-point value of rf at (q, lam, b): its numerator's over its denominator's."""
     return eval_polynomial(rf.num, q, lam, b) / eval_polynomial(rf.den, q, lam, b)
+
+
+def substitute_by_terms(p: Polynomial, var: str, value: int) -> Polynomial:
+    """p with ``var`` set to ``value``: each term's power of ``var`` becomes a factor of its coefficient."""
+    i = "qlb".index(var)
+    return Polynomial(
+        (tuple(0 if k == i else e for k, e in enumerate(mono)), c * value ** mono[i]) for mono, c in p.terms()
+    )
+
+
+def cf_level_by_operators(j: int, t: RationalFunction) -> RationalFunction:
+    """f_j + l*q^(j+1)/t with f_j = 1 + b*q^j: a polynomial plus a monomial over t."""
+    return (ONE + B * Q**j) + (L * Q ** (j + 1)) / t
+
+
+def cf_tails_by_operators(n: int) -> list[RationalFunction]:
+    """The tails T_n = f_n, T_(n-1), ..., T_0 of the depth-n fraction, innermost first."""
+    tails = [RationalFunction(ONE + B * Q**n)]
+    for j in range(n - 1, -1, -1):
+        tails.append(cf_level_by_operators(j, tails[-1]))
+    return tails

@@ -15,10 +15,13 @@ give the very same ``num`` and ``den``.  A value with an f_j hidden in its
 residuals keeps it and is compared by value.
 """
 
+import inspect
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NotDivisible, exact_div
+from oracles import NotDivisible, cf_level_by_operators, cf_tails_by_operators, exact_div, substitute_by_terms
 from rrcf import core, poly, qpoch, verify
 from rrcf.core import g, g_difference
 from rrcf.poly import (
@@ -27,8 +30,11 @@ from rrcf.poly import (
     ONE,
     Q,
     ZERO,
+    DivisionByZero,
     Polynomial,
     RationalFunction,
+    _cf_level,
+    _leads_negative,
     _normalize_content,
     _vanishes_at_factor_roots,
 )
@@ -392,3 +398,108 @@ def test_expansions_are_cached_and_the_tables_bounded():
     for cache in tables:
         info = cache.cache_info()
         assert info.currsize == info.misses <= info.maxsize, info
+
+
+# -- the one-pass level of the continued fraction -----------------------------------
+
+
+def internal_form(x):
+    return x._rnum._terms, x._rden._terms, x._exps
+
+
+def test_backward_levels_match_operator_route():
+    # every tail of every depth up to 24, from the seed f_n down to T_0
+    for n in range(1, 25):
+        tails = cf_tails_by_operators(n)
+        t = tails[0]
+        for j, want in zip(range(n - 1, -1, -1), tails[1:]):
+            t = _cf_level(j, t)
+            assert internal_form(t) == internal_form(want), (n, j)
+        assert internal_form(core.cf_finite_backward(core.CFSpec.standard(n))) == internal_form(t)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cf_level_matches_operator_route(data):
+    # random normal tails that name f_j on either side (j = 0 included), with
+    # either sign of the numerator's trailing coefficient
+    shared = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    t, _ = data.draw(values(shared, data.draw(st.booleans())))
+    if data.draw(st.booleans()):
+        t = -t
+    j = data.draw(st.sampled_from(shared) | st.integers(0, 5))
+    if t.is_zero:
+        with pytest.raises(DivisionByZero):
+            _cf_level(j, t)
+        return
+    assert internal_form(_cf_level(j, t)) == internal_form(cf_level_by_operators(j, t))
+
+
+def test_cf_level_by_hand():
+    cases = [
+        (0, RationalFunction(ONE + Q)),  # the leading level over a plain polynomial
+        (2, RationalFunction(f(2))),  # f_j names itself in t's numerator
+        (2, RationalFunction._from_exps(ONE + L, {2: 2, 1: -1})),
+        (1, RationalFunction(ONE + L, f(1))),  # f_j in t's denominator
+        (1, RationalFunction._from_exps(ONE - L, {1: -2, 3: 1}, ONE + Q)),
+        (3, RationalFunction(Q - L, ONE + B)),  # t's numerator has a negative trailing coefficient
+        (3, RationalFunction(-(L * Q**4), f(3))),  # the level is zero
+    ]
+    for j, t in cases:
+        level = _cf_level(j, t)
+        assert internal_form(level) == internal_form(cf_level_by_operators(j, t)), (j, str(t))
+        assert not _leads_negative(level._rden)
+    assert _cf_level(3, cases[-1][1]).is_zero
+    with pytest.raises(DivisionByZero):
+        _cf_level(0, RationalFunction(ZERO))
+
+
+def test_shifted_level_monomial_fails_recursion_and_theorem1(monkeypatch):
+    # mutation: the level's monomial l*q^(j+1) becomes l*q^(j+2)
+    source = inspect.getsource(poly._cf_level)
+    assert source.count("(d, j + 1, 1, 0)") == 1
+    namespace = dict(vars(poly))
+    exec(source.replace("(d, j + 1, 1, 0)", "(d, j + 2, 1, 0)"), namespace)
+    mutant = namespace["_cf_level"]
+    monkeypatch.setattr(core, "_cf_level", mutant)
+    monkeypatch.setattr(verify, "_cf_level", mutant)
+    report = verify.check_recursion(4)
+    assert not report.all_passed
+    # the descent (s < n) and the rebuilt fraction (s = n + 1) both fail
+    assert {(n, s) for (_, n), (_, s) in (c.params for c in report.cases if not c.passed)} >= {(4, 0), (4, 5)}
+    for n in range(1, 5):
+        lhs = (ONE + B) * g(n, 0) / g(n, 1)
+        assert not verify.compare(lhs, core.cf_finite_backward(core.CFSpec.standard(n)))[0]
+
+
+# -- substitution at b = 0 -----------------------------------------------------------
+
+
+def assert_substitutes_at_b0(x):
+    # every f_j is 1 at b = 0: the residuals give the same value as the expansion
+    want = RationalFunction(x.num.substitute("b", 0), x.den.substitute("b", 0))
+    assert internal_form(x.substitute("b", 0)) == internal_form(want), str(x)
+
+
+def test_substitute_b0_skips_the_expansion():
+    for n in range(1, 13):
+        for s in range(n + 2):
+            assert_substitutes_at_b0(g(n, s))
+        assert_substitutes_at_b0(core.cf_finite_backward(core.CFSpec.standard(n)))
+    for x in (
+        RationalFunction._from_exps(ONE + L + B * Q, {1: 1, 2: -2}, ONE - L * B),
+        RationalFunction._from_exps(-(B * L) + Q, {0: -1, 3: 2}, 2 * (ONE + B)),
+        RationalFunction._factored(L, num_runs=((1, 2),), den_runs=((2, 2),)),
+    ):
+        assert x._exps and any(e < 0 for e in x._exps.values()) and any(e > 0 for e in x._exps.values())
+        assert_substitutes_at_b0(x)
+    # the residual denominator vanishes at b = 0 although f_j does not
+    with pytest.raises(DivisionByZero, match="denominator vanishes at b=0"):
+        RationalFunction._from_exps(ONE, {1: 1}, B * (ONE + L)).substitute("b", 0)
+
+
+@given(p=residuals | st.dictionaries(small_monomials, st.integers(-3, 3), max_size=5).map(Polynomial))
+@settings(max_examples=100)
+def test_polynomial_substitute_zero_is_the_general_loop(p):
+    for var in "qlb":
+        assert p.substitute(var, 0)._terms == substitute_by_terms(p, var, 0)._terms

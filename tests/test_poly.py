@@ -1,6 +1,7 @@
 """Exact polynomial and rational-function arithmetic."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,60 @@ def test_bool_coefficient_rejected():
     # True is an int, and would print as "True"
     with pytest.raises(TypeError):
         Polynomial({(0, 0, 0): True})
+
+
+@pytest.mark.parametrize("value", [True, False], ids=repr)
+def test_mul_rejects_bool(value):
+    # as + and - do: True would act as 1 and False as 0
+    with pytest.raises(TypeError):
+        (ONE + Q) * value
+    with pytest.raises(TypeError):
+        value * (ONE + Q)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0, 0, 0, True), (0, 0, 0, 1.0), (1.0, 0, 0, 1), (True, 0, 0, 1), (0, -1, 0, 1), (0, 0, -2, 3)],
+    ids=repr,
+)
+def test_monomial_and_constant_reject_what_the_constructor_rejects(bad):
+    # the same exception with the same message as Polynomial({mono: c})
+    *mono, c = bad
+    with pytest.raises((TypeError, ValueError)) as want:
+        Polynomial({tuple(mono): c})
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        Polynomial.monomial(*mono, coeff=c)
+    if mono == [0, 0, 0]:
+        with pytest.raises(want.type, match="^coefficient .* of monomial Monomial.eq=0, el=0, eb=0. is not an int$"):
+            Polynomial.constant(c)
+
+
+@given(mono=monomials, c=coefficients)
+def test_monomial_and_constant_match_the_constructor(mono, c):
+    assert Polynomial.monomial(*mono, coeff=c)._terms == Polynomial({mono: c})._terms
+    assert Polynomial.constant(c)._terms == Polynomial({(0, 0, 0): c})._terms
+
+
+@given(p=nonzero_polynomials)
+def test_sign_rule_reads_the_trailing_coefficient(p):
+    assert poly._leads_negative(p) == (p.trailing()[1] < 0)
+
+
+@given(p=polynomials)
+def test_family_screen_is_kept_on_the_polynomial(p):
+    screen = _vanishes_at_factor_roots(p)
+    assert poly._passes_screen(p) is screen and p._screen is screen
+    assert poly._passes_screen(p) is screen
+
+
+@given(p=polynomials, j=st.integers(0, 4), c=coefficients)
+@settings(max_examples=100)
+def test_polynomial_over_one_is_normal_as_it_stands(p, j, c):
+    # the constructor keeps a polynomial over 1 as it is; the normal form
+    # would change nothing, also with an operand c*f_j named
+    for num, exps in ((p, {}), (Polynomial.constant(c), {j: 1} if c else {})):
+        value = RationalFunction(_times_factor(num, j) if exps else num)
+        assert (value._rnum, value._rden, value._exps) == poly._normal_form(num, ONE, exps)
 
 
 def test_from_terms_json_rejects_fractional_exponent():
