@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .poly import B, L, ONE, ZERO, Polynomial, Q, RationalFunction, _cf_level, _times_factor
+from .poly import B, ONE, ZERO, Polynomial, Q, RationalFunction, _cf_level, _times_factor
 from .qpoch import q_binomial
 
 __all__ = [
@@ -152,39 +152,24 @@ def g_difference(n: int, s: int) -> RationalFunction:
 
 @dataclass(frozen=True)
 class CFSpec:
-    """The finite continued fraction of depth n, as explicit entry sequences.
+    """The finite continued fraction of depth n.
 
-    leading = 1+b, partial numerator a_j = l*q^j and partial denominator
-    b_j = 1 + b*q^j for j = 1..depth.  The constructor re-derives every entry
-    from its index and rejects anything that deviates.
+    The depth fixes every entry: leading = 1+b, partial numerator
+    a_j = l*q^j and partial denominator b_j = f_j = 1 + b*q^j for
+    j = 1..depth, so the depth, exactly an int and at least 1, is the only
+    field.
     """
 
     depth: int
-    leading: Polynomial
-    partial_numerators: tuple[Polynomial, ...]
-    partial_denominators: tuple[Polynomial, ...]
 
     def __post_init__(self) -> None:
+        if type(self.depth) is not int:  # a bool is not a depth, nor is 2.0
+            raise TypeError(f"depth must be an int, got {self.depth!r}")
         _require_positive(self.depth, "depth")
-        if len(self.partial_numerators) != self.depth or len(self.partial_denominators) != self.depth:
-            raise ValueError("entry sequences must have exactly `depth` elements")
-        if self.leading != ONE + B:
-            raise ValueError("leading entry must be 1 + b")
-        for j in range(1, self.depth + 1):
-            if self.partial_numerators[j - 1] != L * Q**j:
-                raise ValueError(f"partial numerator {j} must be l*q^{j}")
-            if self.partial_denominators[j - 1] != ONE + B * Q**j:
-                raise ValueError(f"partial denominator {j} must be 1 + b*q^{j}")
 
     @classmethod
     def standard(cls, n: int) -> "CFSpec":
-        _require_positive(n)
-        return cls(
-            depth=n,
-            leading=ONE + B,
-            partial_numerators=tuple(L * Q**j for j in range(1, n + 1)),
-            partial_denominators=tuple(ONE + B * Q**j for j in range(1, n + 1)),
-        )
+        return cls(n)
 
 
 @dataclass(frozen=True)
@@ -207,11 +192,11 @@ def cf_finite_backward(spec: CFSpec) -> RationalFunction:
     """Evaluate the continued fraction innermost-tail-first.
 
     T_n = b_n, then T_j = b_j + a_{j+1}/T_{j+1} down to T_0 = leading + a_1/T_1.
-    CFSpec checks that b_j = f_j = 1 + b*q^j, a_j = l*q^j and leading = f_0,
-    so each level T_j = f_j + l*q^(j+1)/T_{j+1} is one ``poly._cf_level``
-    pass, which skips normalisation: its result is already normal.
+    With b_j = f_j = 1 + b*q^j, a_j = l*q^j and leading = f_0, each level
+    T_j = f_j + l*q^(j+1)/T_{j+1} is one ``poly._cf_level`` pass, which
+    skips normalisation: its result is already normal.
     """
-    t = RationalFunction(spec.partial_denominators[-1])
+    t = RationalFunction(ONE + B * Q**spec.depth)
     _assert_unit_constant(t)
     for j in range(spec.depth - 1, -1, -1):
         t = _cf_level(j, t)
@@ -230,11 +215,11 @@ def cf_convergents_iter(spec: CFSpec) -> Iterator[ConvergentPair]:
     the generator holds only the current and the previous one.
     """
     p_prev, q_prev = ONE, ZERO
-    p_cur, q_cur = spec.leading, ONE
+    p_cur, q_cur = ONE + B, ONE
     yield ConvergentPair(0, p_cur, q_cur)
     for j in range(1, spec.depth + 1):
-        aj = spec.partial_numerators[j - 1]
-        # CFSpec checks that b_j is 1 + b*q^j, so b_j * P is a shift and add
+        aj = Polynomial.monomial(j, 1)
+        # b_j is f_j = 1 + b*q^j, so b_j * P is a shift and add
         p_cur, p_prev = _times_factor(p_cur, j) + aj * p_prev, p_cur
         q_cur, q_prev = _times_factor(q_cur, j) + aj * q_prev, q_cur
         yield ConvergentPair(j, p_cur, q_cur)

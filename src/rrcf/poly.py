@@ -55,7 +55,7 @@ and add, and cached on the value.  Equality compares the internal forms,
 then the expanded ``num`` and ``den``, and cross-multiplies only when both
 differ.
 
-Three lemmas let the operations that build the continued fraction skip
+Two lemmas let the operations that build the continued fraction skip
 normalisation, because the result is already normal when the operand
 ``x = A/D`` is:
 
@@ -64,15 +64,13 @@ normalisation, because the result is already normal when the operand
   D and A + p*D divides A too, and D keeps its sign; the common f_j are
   taken out as in every sum.  A polynomial over 1 is itself normal, so
   ``RationalFunction(p)`` keeps it as it stands.
-* a product or quotient with a monomial m: every f_j has constant term 1,
-  so none divides m.  Only the content and, when m or A moves into the
-  denominator, the sign are left to fix.
 * one level ``f_j + l*q^(j+1)/x`` of the continued fraction (each level of
-  ``core.cf_finite_backward`` and of the recursion descent), the two above
-  in turn: ``l*q^(j+1)*D/A`` needs no content pass, as the monomial has
-  coefficient 1 and A/D has content 1, only A's sign; adding f_j keeps the
-  denominator A.  ``_cf_level`` builds f_j*A and adds ``l*q^(j+1)*D`` in
-  one pass, with no intermediate value.
+  ``core.cf_finite_backward`` and of the recursion descent):
+  ``l*q^(j+1)*D/A`` is normal once A's sign is fixed, since A/D has
+  content 1, the monomial has coefficient 1, and no f_j divides a
+  monomial (each has constant term 1); adding the polynomial f_j then
+  keeps the denominator A, as in the sum above.  ``_cf_level`` builds
+  f_j*A and adds ``l*q^(j+1)*D`` in one pass, with no intermediate value.
 
 Substituting b = 0 needs no expansion either: every f_j is 1 there, so
 the residuals alone give the value.
@@ -228,9 +226,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __pos__(self) -> "Polynomial":
-        return self
-
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw({k: -c for k, c in self._terms.items()})
 
@@ -317,6 +312,7 @@ class Polynomial:
     # -- evaluation and substitution ----------------------------------------
 
     def eval_exact(self, q: int, lam: int, b: int) -> int:
+        """The value at integer q, l, b; kept here, as perfbench's workload checks call it."""
         return sum(c * q**eq * lam**el * b**eb for (eq, el, eb), c in self._terms.items())
 
     def substitute(self, var: str, value: int) -> "Polynomial":
@@ -567,11 +563,10 @@ class RationalFunction:
     first use and are cached; when every common f_j is named they are
     exactly the normal form of the expanded inputs.
 
-    A sum with a polynomial operand and a product or quotient with a
-    monomial operand keep the other operand's normal form and skip
-    normalisation (the lemmas of the module docstring), as does a
-    polynomial over 1 in the constructor; every other operation normalises
-    its result.
+    A sum with a polynomial operand keeps the other operand's normal form
+    and skips normalisation (the first lemma of the module docstring), as
+    does a polynomial over 1 in the constructor; every other operation
+    normalises its result.
 
     Equality first compares the two internal forms, then the expanded
     ``num`` and ``den``, and cross-multiplies only when both differ, so two
@@ -678,9 +673,6 @@ class RationalFunction:
     def _is_polynomial(self) -> bool:
         return self._rden == ONE and all(e > 0 for e in self._exps.values())
 
-    def _is_monomial(self) -> bool:
-        return len(self._rnum) == 1 and self._rden == ONE and not self._exps
-
     def _plus_polynomial(self, p: "RationalFunction") -> "RationalFunction":
         # first lemma: A/D + p = (A + p*D)/D is already normal, since
         # whatever divides D and A + p*D divides A, and D keeps its sign;
@@ -691,17 +683,6 @@ class RationalFunction:
         if num.is_zero:
             return RationalFunction._from_normal(ZERO, ONE, {})
         return RationalFunction._from_normal(num, self._rden, {j: e for j, e in common.items() if e})
-
-    @staticmethod
-    def _with_monomial(num: Polynomial, den: Polynomial, exps: dict[int, int]) -> "RationalFunction":
-        # second lemma: no f_j divides a monomial, so a normal
-        # form with one side multiplied by a monomial needs only content and sign
-        if num.is_zero:
-            return RationalFunction._from_normal(ZERO, ONE, {})
-        num, den = _normalize_content(num, den)
-        if _leads_negative(den):
-            num, den = -num, -den
-        return RationalFunction._from_normal(num, den, exps)
 
     def __add__(self, other) -> "RationalFunction":
         o = self._coerce(other)
@@ -739,10 +720,6 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o._is_monomial():
-            return self._with_monomial(self._rnum * o._rnum, self._rden, self._exps)
-        if self._is_monomial():
-            return self._with_monomial(self._rnum * o._rnum, o._rden, o._exps)
         return RationalFunction._from_exps(self._rnum * o._rnum, self._times_exps(o, 1), self._rden * o._rden)
 
     __rmul__ = __mul__
@@ -753,10 +730,6 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("division by zero rational function")
-        if o._is_monomial():
-            return self._with_monomial(self._rnum, self._rden * o._rnum, self._exps)
-        if self._is_monomial():
-            return self._with_monomial(self._rnum * o._rden, o._rnum, {j: -e for j, e in o._exps.items()})
         return RationalFunction._from_exps(self._rnum * o._rden, self._times_exps(o, -1), self._rden * o._rnum)
 
     def __rtruediv__(self, other) -> "RationalFunction":
@@ -810,7 +783,7 @@ def _cf_level(j: int, t: RationalFunction) -> RationalFunction:
     With t = A * prod f^E / D, this is the sum of the polynomial f_j and
     l*q^(j+1)*D/A * prod f^-E, split as in ``_plus_polynomial``, with the
     shifted D added in the pass that forms f_j*A.  The result is normal
-    over A with A's sign fixed (the third lemma of the module docstring).
+    over A with A's sign fixed (the second lemma of the module docstring).
     """
     a, d = t._rnum, t._rden
     if a.is_zero:

@@ -238,29 +238,18 @@ def test_difference_domain_validation():
 # -- the continued fraction -----------------------------------------------------
 
 
-def test_cfspec_standard_entries():
-    spec = CFSpec.standard(3)
-    assert spec.leading == ONE + B
-    assert spec.partial_numerators == (L * Q, L * Q**2, L * Q**3)
-    assert spec.partial_denominators == (ONE + B * Q, ONE + B * Q**2, ONE + B * Q**3)
+def test_cfspec_is_its_depth():
+    assert CFSpec.standard(3) == CFSpec(3)
+    assert CFSpec.standard(3).depth == 3
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            CFSpec(bad)
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError):
+            CFSpec(bad)
 
 
 def test_cfspec_rejects_tampered_entries():
-    good = CFSpec.standard(2)
-    with pytest.raises(ValueError):
-        CFSpec(
-            depth=2,
-            leading=good.leading,
-            partial_numerators=(L * Q, L * Q**3),
-            partial_denominators=good.partial_denominators,
-        )
-    with pytest.raises(ValueError):
-        CFSpec(
-            depth=2,
-            leading=ONE,
-            partial_numerators=good.partial_numerators,
-            partial_denominators=good.partial_denominators,
-        )
     with pytest.raises(ValueError):
         CFSpec.standard(0)
 

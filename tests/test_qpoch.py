@@ -3,17 +3,18 @@
 The products (-bq^m;q)_k are tested as the library forms them: expanding a
 rational function's known factors one at a time (``rrcf.poly._times_factors``).
 The products (q^m;q)_k are the tests' own plain products (``oracles.poch_q``),
-and the q-binomials are checked against their exact quotients and against
-the q-Pascal rule, two routes that share no code with ``rrcf.qpoch``.
+and the q-binomials are checked against their exact quotients, computed on
+integers by Kronecker substitution, and against the q-Pascal rule, two
+routes that share no code with ``rrcf.qpoch``.
 """
 
 import math
 
 import pytest
 
-from oracles import exact_div, poch_q
+from oracles import poch_q
 from rrcf import qpoch
-from rrcf.poly import B, ONE, Q, RationalFunction, _times_factors
+from rrcf.poly import B, ONE, Polynomial, Q, RationalFunction, _times_factors
 from rrcf.qpoch import q_binomial
 
 
@@ -136,10 +137,27 @@ def test_gaussian_binomial_integrality():
 
 
 def test_q_binomial_is_the_exact_quotient_of_products():
-    # [a, k] = (q^(a-k+1);q)_k / (q;q)_k, by long division
+    # [a, k] = (q^(a-k+1);q)_k / (q;q)_k, by Kronecker substitution: at
+    # q = X = 2^W the quotient is an integer whose base-X digits are the
+    # coefficients.  They are nonnegative and at most the value at q = 1,
+    # C(a, k) < X, so no digit carries into the next.  The sign (-1)^k of
+    # each product's factors X^m - 1 cancels in the quotient.
     for a in range(0, 41):
         for k in range(0, a + 1):
-            assert q_binomial(a, k) == exact_div(poch_q(k, a - k + 1), poch_q(k))
+            w = math.comb(a, k).bit_length() + 1
+            x = 1 << w
+            quotient, remainder = divmod(
+                math.prod(x ** (a - k + i) - 1 for i in range(1, k + 1)),
+                math.prod(x**i - 1 for i in range(1, k + 1)),
+            )
+            assert remainder == 0
+            digits = {}
+            e = 0
+            while quotient:
+                digits[(e, 0, 0)] = quotient & (x - 1)
+                quotient >>= w
+                e += 1
+            assert q_binomial(a, k) == Polynomial(digits)
 
 
 def test_q_binomial_small():
