@@ -23,8 +23,10 @@ reduce to mu_n and nu_n.
 
 The module also evaluates the continued fraction itself, both by the
 classical three-term forward recurrence, whose pairs P_n/Q_n are the
-fractions :mod:`rrcf.verify` checks against, and by the backward recurrence
-(an independent oracle; the determinant identity cross-checks the pairs).
+fractions :mod:`rrcf.verify` checks against, and by the backward continuant
+A_j, which builds the same coprime pair innermost-first.  Both are chains of
+one polynomial step f_j*p + l*q^k*r (``poly._step``), with no rational
+function in between.
 It builds the Al-Salam-Ismail orthogonal polynomial U_n(x; a, b) whose
 specialization U_n(1; bq, -l*q^2) equals g_n(1) * (-bq;q)_n.
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .poly import B, ONE, ZERO, Polynomial, Q, RationalFunction, _cf_level, _times_factor
+from .poly import B, ONE, ZERO, Polynomial, Q, RationalFunction, _step, _times_factor
 from .qpoch import q_binomial
 
 __all__ = [
@@ -182,34 +184,39 @@ class ConvergentPair:
 
 
 def _assert_unit_constant(t: RationalFunction) -> None:
-    # every backward tail evaluates to 1 at q = l = b = 0, so no tail can be
-    # the zero function and the symbolic recurrence cannot divide by zero
+    # the fraction evaluates to 1 at q = l = b = 0, so it is not the zero
+    # function and its denominator has constant term 1
     if not t.num.constant_coeff == t.den.constant_coeff != 0:
-        raise ArithmeticError(f"backward tail {t} does not evaluate to 1 at q = l = b = 0")
+        raise ArithmeticError(f"backward fraction {t} does not evaluate to 1 at q = l = b = 0")
+
+
+def _descend(a: Polynomial, a_next: Polynomial, top: int) -> tuple[Polynomial, Polynomial]:
+    """(A_0, A_1) of A_j = f_j A_(j+1) + l*q^(j+1) A_(j+2) from A_top = a, A_(top+1) = a_next."""
+    for j in range(top - 1, -1, -1):
+        a, a_next = _step(a, j, a_next, j + 1), a
+    return a, a_next
 
 
 def cf_finite_backward(spec: CFSpec) -> RationalFunction:
-    """Evaluate the continued fraction innermost-tail-first.
+    """Evaluate the continued fraction innermost-tail-first, as A_0/A_1.
 
-    T_n = b_n, then T_j = b_j + a_{j+1}/T_{j+1} down to T_0 = leading + a_1/T_1.
-    With b_j = f_j = 1 + b*q^j, a_j = l*q^j and leading = f_0, each level
-    T_j = f_j + l*q^(j+1)/T_{j+1} is one ``poly._cf_level`` pass, which
-    skips normalisation: its result is already normal.
+    Each tail T_j = f_j + l*q^(j+1)/T_(j+1), T_n = f_n, is A_j/A_(j+1) for the
+    continuant from A_n = f_n, A_(n+1) = 1.  Every A_j has constant term 1,
+    so gcd(A_j, A_(j+1)) = gcd(A_(j+1), A_(j+2)) = ... = gcd(f_n, 1) = 1:
+    A_0/A_1 is already normal, and it is exactly the forward pair P_n/Q_n.
     """
-    t = RationalFunction(ONE + B * Q**spec.depth)
+    t = RationalFunction._from_normal(*_descend(ONE + B * Q**spec.depth, ONE, spec.depth), {})
     _assert_unit_constant(t)
-    for j in range(spec.depth - 1, -1, -1):
-        t = _cf_level(j, t)
-        _assert_unit_constant(t)
     return t
 
 
 def cf_convergents_iter(spec: CFSpec) -> Iterator[ConvergentPair]:
     """Convergent pairs (P_j, Q_j) for j = 0..depth, from the three-term forward recurrence.
 
-    P_{-1} = 1, Q_{-1} = 0, P_0 = leading, Q_0 = 1, and
-    P_j = b_j P_{j-1} + a_j P_{j-2} (Q alike).  P_j/Q_j is the depth-j
-    fraction, and agrees with cf_finite_backward; the determinant identity
+    P_{-1} = 1, Q_{-1} = 0, P_0 = 1+b, Q_0 = 1, and
+    P_j = f_j P_{j-1} + l*q^j P_{j-2} (Q alike), one ``poly._step`` each.
+    P_j/Q_j is the depth-j fraction, and agrees with cf_finite_backward; the
+    determinant identity
     P_j Q_{j-1} - P_{j-1} Q_j = (-1)^(j-1) l^j q^(j(j+1)/2) pins both down
     and shows that P_j and Q_j are coprime.  The pairs are made lazily, and
     the generator holds only the current and the previous one.
@@ -218,10 +225,8 @@ def cf_convergents_iter(spec: CFSpec) -> Iterator[ConvergentPair]:
     p_cur, q_cur = ONE + B, ONE
     yield ConvergentPair(0, p_cur, q_cur)
     for j in range(1, spec.depth + 1):
-        aj = Polynomial.monomial(j, 1)
-        # b_j is f_j = 1 + b*q^j, so b_j * P is a shift and add
-        p_cur, p_prev = _times_factor(p_cur, j) + aj * p_prev, p_cur
-        q_cur, q_prev = _times_factor(q_cur, j) + aj * q_prev, q_cur
+        p_cur, p_prev = _step(p_cur, j, p_prev, j), p_cur
+        q_cur, q_prev = _step(q_cur, j, q_prev, j), q_cur
         yield ConvergentPair(j, p_cur, q_cur)
 
 

@@ -55,22 +55,18 @@ and add, and cached on the value.  Equality compares the internal forms,
 then the expanded ``num`` and ``den``, and cross-multiplies only when both
 differ.
 
-Two lemmas let the operations that build the continued fraction skip
-normalisation, because the result is already normal when the operand
-``x = A/D`` is:
+A sum with a polynomial p (residual denominator 1, no negative exponent)
+skips normalisation, because the result is already normal when the operand
+``x = A/D`` is: ``x + p = (A + p*D)/D``.  An f_j or an integer that divides
+D and A + p*D divides A too, and D keeps its sign; the common f_j are taken
+out as in every sum.  A polynomial over 1 is itself normal, so
+``RationalFunction(p)`` keeps it as it stands.
 
-* a sum with a polynomial p (residual denominator 1, no negative
-  exponent): ``x + p = (A + p*D)/D``.  An f_j or an integer that divides
-  D and A + p*D divides A too, and D keeps its sign; the common f_j are
-  taken out as in every sum.  A polynomial over 1 is itself normal, so
-  ``RationalFunction(p)`` keeps it as it stands.
-* one level ``f_j + l*q^(j+1)/x`` of the continued fraction (each level of
-  ``core.cf_finite_backward`` and of the recursion descent):
-  ``l*q^(j+1)*D/A`` is normal once A's sign is fixed, since A/D has
-  content 1, the monomial has coefficient 1, and no f_j divides a
-  monomial (each has constant term 1); adding the polynomial f_j then
-  keeps the denominator A, as in the sum above.  ``_cf_level`` builds
-  f_j*A and adds ``l*q^(j+1)*D`` in one pass, with no intermediate value.
+The continued fraction is built on polynomials alone.  ``_step(p, j, r, k)``
+is ``f_j*p + l*q^k*r`` in one pass over the terms of p and r; the forward
+pairs (P_j, Q_j), the backward continuant of ``core.cf_finite_backward``
+and the recursion descent of ``rrcf.verify`` are each a chain of such
+steps.
 
 Substituting b = 0 needs no expansion either: every f_j is 1 there, so
 the residuals alone give the value.
@@ -451,6 +447,21 @@ def _times_factors(p: Polynomial, exps: Mapping[int, int]) -> Polynomial:
     return p
 
 
+def _step(p: Polynomial, j: int, r: Polynomial, k: int) -> Polynomial:
+    """f_j*p + l*q^k*r, one continuant step: p, p shifted by b*q^j and r shifted by l*q^k, in one pass."""
+    out = dict(p._terms)
+    get = out.get
+    for part, sq, sl, sb in ((p, j, 0, 1), (r, k, 1, 0)):
+        for (eq, el, eb), c in part._terms.items():
+            key = (eq + sq, el + sl, eb + sb)
+            s = get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return Polynomial._raw(out)
+
+
 def _divide_factor(p: Polynomial, j: int) -> Polynomial:
     """p / f_j for an f_j that divides p, by synthetic division in ascending b-degree.
 
@@ -564,7 +575,7 @@ class RationalFunction:
     exactly the normal form of the expanded inputs.
 
     A sum with a polynomial operand keeps the other operand's normal form
-    and skips normalisation (the first lemma of the module docstring), as
+    and skips normalisation (the lemma of the module docstring), as
     does a polynomial over 1 in the constructor; every other operation
     normalises its result.
 
@@ -674,7 +685,7 @@ class RationalFunction:
         return self._rden == ONE and all(e > 0 for e in self._exps.values())
 
     def _plus_polynomial(self, p: "RationalFunction") -> "RationalFunction":
-        # first lemma: A/D + p = (A + p*D)/D is already normal, since
+        # A/D + p = (A + p*D)/D is already normal, since
         # whatever divides D and A + p*D divides A, and D keeps its sign;
         # p's own f_j go onto D by shift and add, after p's residual if not 1
         own_a, own_p, common = _split_exps(self._exps, p._exps)
@@ -776,34 +787,3 @@ class RationalFunction:
     def from_json(cls, data: dict) -> "RationalFunction":
         return cls(Polynomial.from_terms_json(data["num"]), Polynomial.from_terms_json(data["den"]))
 
-
-def _cf_level(j: int, t: RationalFunction) -> RationalFunction:
-    """One level f_j + l*q^(j+1)/t of the continued fraction, for a normal t.
-
-    With t = A * prod f^E / D, this is the sum of the polynomial f_j and
-    l*q^(j+1)*D/A * prod f^-E, split as in ``_plus_polynomial``, with the
-    shifted D added in the pass that forms f_j*A.  The result is normal
-    over A with A's sign fixed (the second lemma of the module docstring).
-    """
-    a, d = t._rnum, t._rden
-    if a.is_zero:
-        raise DivisionByZero("division by zero rational function")
-    if _leads_negative(a):
-        a, d = -a, -d
-    own_d, own_a, common = _split_exps({i: -e for i, e in t._exps.items()}, {j: 1})
-    own_a[j] -= 1  # the last f_j on A, if any, is multiplied in the pass below
-    num_a, d = _times_factors(a, own_a), _times_factors(d, own_d)
-    terms = dict(num_a._terms)
-    get = terms.get
-    shifts = ((num_a, j, 0, 1),) if own_a[j] >= 0 else ()
-    for part, sq, sl, sb in shifts + ((d, j + 1, 1, 0),):
-        for (eq, el, eb), c in part._terms.items():
-            key = (eq + sq, el + sl, eb + sb)
-            s = get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    if not terms:
-        return RationalFunction._from_normal(ZERO, ONE, {})
-    return RationalFunction._from_normal(Polynomial._raw(terms), a, {i: e for i, e in common.items() if e})

@@ -5,7 +5,9 @@ returns a :class:`VerificationReport`.  Comparisons are exact: ``compare``
 decides through ``RationalFunction.__eq__`` (cross-multiplication, zero
 tolerance), and a failing case records the two cross-product polynomials as
 its witness.  Failures become report entries, never exceptions, so a
-corrupted formula is always visible rather than fatal.
+corrupted formula is always visible rather than fatal: a zero divisor met
+while a case is built fails that case, with ``("DivisionByZero", message)``
+as its witness.
 
 The depth-n continued fraction is the convergent P_n/Q_n of the forward
 recurrence (``core.cf_convergents_iter``).  Each suite that needs it takes
@@ -37,10 +39,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterator
 
 from . import core
-from .poly import B, L, ONE, Polynomial, Q, RationalFunction, _cf_level
+from .poly import B, L, ONE, DivisionByZero, Polynomial, Q, RationalFunction, _step
 
 __all__ = [
     "InvalidRange",
@@ -134,6 +137,14 @@ def compare(lhs: RationalFunction, rhs: RationalFunction) -> tuple[bool, tuple[s
     return False, (str(lhs.num * rhs.den), str(rhs.num * lhs.den))
 
 
+def _compare_built(build) -> tuple[bool, tuple[str, str] | None]:
+    """compare(*build()); a zero divisor met while building is a failure, with its message as witness."""
+    try:
+        return compare(*build())
+    except DivisionByZero as exc:
+        return False, ("DivisionByZero", str(exc))
+
+
 def _case(passed: bool, witness, **params: int) -> VerificationCase:
     return VerificationCase(params=tuple(params.items()), passed=passed, witness=witness)
 
@@ -158,8 +169,8 @@ def check_entry16(n_max: int = 15, mu_fn=None, nu_fn=None) -> VerificationReport
     nu_fn = nu_fn or core.nu
     cases = []
     for n, fraction in _fractions(n_max):
-        lhs = RationalFunction(mu_fn(n)) / RationalFunction(nu_fn(n))
-        cases.append(_case(*compare(lhs, fraction.substitute("b", 0)), n=n))
+        build = lambda: (RationalFunction(mu_fn(n)) / RationalFunction(nu_fn(n)), fraction.substitute("b", 0))
+        cases.append(_case(*_compare_built(build), n=n))
     return VerificationReport(suite="entry16", cases=tuple(cases))
 
 
@@ -169,9 +180,13 @@ def check_theorem1(n_max: int = 12, g_fn=None) -> VerificationReport:
     g_fn = g_fn or core.g
     cases = []
     for n, fraction in _fractions(n_max):
-        lhs = (ONE + B) * g_fn(n, 0) / g_fn(n, 1)
-        cases.append(_case(*compare(lhs, fraction), n=n))
+        cases.append(_case(*_compare_built(lambda: ((ONE + B) * g_fn(n, 0) / g_fn(n, 1), fraction)), n=n))
     return VerificationReport(suite="theorem1", cases=tuple(cases))
+
+
+def _level(s: int, tail: RationalFunction) -> RationalFunction:
+    """1+bq^s + lq^(s+1)/tail = (f_s N + l*q^(s+1) D)/N for tail = N/D, one ``poly._step``."""
+    return RationalFunction(_step(tail.num, s, tail.den, s + 1), tail.num)
 
 
 def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
@@ -180,28 +195,26 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
     With R_s = (1+bq^s) g_n(s)/g_n(s+1) built once for s = 0..n, each
     (n, s) case checks R_s == 1+bq^s + lq^(s+1)/R_(s+1).  Per n: the
     endpoint seed g_n(n) = g_n(n+1) = 1, and the full fraction rebuilt by
-    iterating the descent down from R_n, a backward evaluation of the
-    fraction that is checked against P_n/Q_n from the forward recurrence.
+    iterating the descent down from R_n, the backward continuant of
+    ``core.cf_finite_backward`` seeded with R_n's num and den, checked
+    against P_n/Q_n from the forward recurrence.
     """
     _require_range(n_max)
     g_fn = g_fn or core.g
     cases = []
     for n, fraction in _fractions(n_max):
-        ratios = [(ONE + B * Q**s) * g_fn(n, s) / g_fn(n, s + 1) for s in range(n + 1)]
+        # R_s, built once; a zero divisor is not cached, so it raises on each use
+        ratio = cache(lambda s: (ONE + B * Q**s) * g_fn(n, s) / g_fn(n, s + 1))
         for s in range(0, n):
-            rhs = _cf_level(s, ratios[s + 1])  # 1+bq^s + lq^(s+1)/R_(s+1)
-            cases.append(_case(*compare(ratios[s], rhs), n=n, s=s))
+            cases.append(_case(*_compare_built(lambda: (ratio(s), _level(s, ratio(s + 1)))), n=n, s=s))
         one = RationalFunction(ONE)
         ok_end, wit_end = compare(g_fn(n, n), one)
         if ok_end:
             ok_end, wit_end = compare(g_fn(n, n + 1), one)
         cases.append(_case(ok_end, wit_end, n=n, s=n))
         # unwind n levels from the seed R_n: this rebuilds the whole fraction
-        value = ratios[n]
-        for s in range(n - 1, -1, -1):
-            value = _cf_level(s, value)
-        ok_it, wit_it = compare(value, fraction)
-        cases.append(_case(ok_it, wit_it, n=n, s=n + 1))
+        unwind = lambda: (RationalFunction(*core._descend(ratio(n).num, ratio(n).den, n)), fraction)
+        cases.append(_case(*_compare_built(unwind), n=n, s=n + 1))
     return VerificationReport(suite="recursion", cases=tuple(cases))
 
 
@@ -228,9 +241,9 @@ def check_b0_reduction(n_max: int = 10, g_fn=None) -> VerificationReport:
     g_fn = g_fn or core.g
     cases = []
     for n in range(1, n_max + 1):
-        ok, wit = compare(g_fn(n, 0).substitute("b", 0), RationalFunction(core.mu(n)))
+        ok, wit = _compare_built(lambda: (g_fn(n, 0).substitute("b", 0), RationalFunction(core.mu(n))))
         if ok:
-            ok, wit = compare(g_fn(n, 1).substitute("b", 0), RationalFunction(core.nu(n)))
+            ok, wit = _compare_built(lambda: (g_fn(n, 1).substitute("b", 0), RationalFunction(core.nu(n))))
         cases.append(_case(ok, wit, n=n))
     return VerificationReport(suite="b0", cases=tuple(cases))
 

@@ -13,7 +13,9 @@ loop of ``Polynomial.substitute`` does for any value.
 ``cf_level_by_operators`` builds one level f_j + l*q^(j+1)/t of the
 continued fraction from the generic ``RationalFunction`` operators, and
 ``cf_tails_by_operators`` every tail of the depth-n fraction with it; the
-library builds each level in one pass (``poly._cf_level``).
+library builds no rational function on the way, only the polynomial
+continuant A_j = f_j A_(j+1) + l*q^(j+1) A_(j+2) whose ratios A_j/A_(j+1)
+are those tails, one ``poly._step`` per level.
 """
 
 from __future__ import annotations

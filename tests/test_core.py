@@ -285,10 +285,10 @@ def test_forward_initial_pairs():
 
 
 def test_forward_matches_backward():
-    # one forward pass at entry16's default depth: each pair P_j/Q_j is the
-    # depth-j fraction, and it has the backward fraction's very num and den,
-    # so a witness built from either is the same text
-    pairs = cf_convergents_iter(CFSpec.standard(15))
+    # one forward pass to depth 24: each pair P_j/Q_j is the depth-j
+    # fraction, and it is the backward continuant's very num and den, so a
+    # witness built from either is the same text
+    pairs = cf_convergents_iter(CFSpec.standard(24))
     assert next(pairs) == ConvergentPair(0, ONE + B, ONE)
     depths = []
     for pair in pairs:
@@ -296,7 +296,7 @@ def test_forward_matches_backward():
         assert RationalFunction(pair.num, pair.den) == backward
         assert (pair.num, pair.den) == (backward.num, backward.den)
         depths.append(pair.index)
-    assert depths == list(range(1, 16))
+    assert depths == list(range(1, 25))
 
 
 def test_forward_list_is_the_generator_drained():

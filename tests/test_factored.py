@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NotDivisible, cf_level_by_operators, cf_tails_by_operators, exact_div, substitute_by_terms
+from oracles import NotDivisible, cf_tails_by_operators, exact_div, substitute_by_terms
 from rrcf import core, poly, qpoch, verify
 from rrcf.core import g, g_difference
 from rrcf.poly import (
@@ -33,9 +33,8 @@ from rrcf.poly import (
     DivisionByZero,
     Polynomial,
     RationalFunction,
-    _cf_level,
-    _leads_negative,
     _normalize_content,
+    _step,
     _vanishes_at_factor_roots,
 )
 from rrcf.qpoch import q_binomial
@@ -324,8 +323,8 @@ def test_polynomial_and_monomial_shortcuts_match_expanded(data):
 
 
 def test_backward_fraction_does_no_trial_division(monkeypatch):
-    # every level is a polynomial plus a monomial over the tail, so
-    # cf_finite_backward never divides anything out
+    # the fraction is a continuant of polynomials, A_0/A_1, already normal,
+    # so cf_finite_backward never divides anything out
     calls = []
     divide_factor = poly._divide_factor
     monkeypatch.setattr(poly, "_divide_factor", lambda p, j: calls.append(j) or divide_factor(p, j))
@@ -400,79 +399,50 @@ def test_expansions_are_cached_and_the_tables_bounded():
         assert info.currsize == info.misses <= info.maxsize, info
 
 
-# -- the one-pass level of the continued fraction -----------------------------------
-
-
-def internal_form(x):
-    return x._rnum._terms, x._rden._terms, x._exps
+# -- the continuant step of the continued fraction ---------------------------------
 
 
 def test_backward_levels_match_operator_route():
-    # every tail of every depth up to 24, from the seed f_n down to T_0
+    # every tail A_j/A_(j+1) of every depth up to 24, from the seed f_n over
+    # 1 down to T_0, against the same tails built by the generic operators
     for n in range(1, 25):
         tails = cf_tails_by_operators(n)
-        t = tails[0]
+        a, a_next = f(n), ONE
+        assert RationalFunction(a, a_next) == tails[0]
         for j, want in zip(range(n - 1, -1, -1), tails[1:]):
-            t = _cf_level(j, t)
-            assert internal_form(t) == internal_form(want), (n, j)
-        assert internal_form(core.cf_finite_backward(core.CFSpec.standard(n))) == internal_form(t)
-
-
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_cf_level_matches_operator_route(data):
-    # random normal tails that name f_j on either side (j = 0 included), with
-    # either sign of the numerator's trailing coefficient
-    shared = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
-    t, _ = data.draw(values(shared, data.draw(st.booleans())))
-    if data.draw(st.booleans()):
-        t = -t
-    j = data.draw(st.sampled_from(shared) | st.integers(0, 5))
-    if t.is_zero:
-        with pytest.raises(DivisionByZero):
-            _cf_level(j, t)
-        return
-    assert internal_form(_cf_level(j, t)) == internal_form(cf_level_by_operators(j, t))
-
-
-def test_cf_level_by_hand():
-    cases = [
-        (0, RationalFunction(ONE + Q)),  # the leading level over a plain polynomial
-        (2, RationalFunction(f(2))),  # f_j names itself in t's numerator
-        (2, RationalFunction._from_exps(ONE + L, {2: 2, 1: -1})),
-        (1, RationalFunction(ONE + L, f(1))),  # f_j in t's denominator
-        (1, RationalFunction._from_exps(ONE - L, {1: -2, 3: 1}, ONE + Q)),
-        (3, RationalFunction(Q - L, ONE + B)),  # t's numerator has a negative trailing coefficient
-        (3, RationalFunction(-(L * Q**4), f(3))),  # the level is zero
-    ]
-    for j, t in cases:
-        level = _cf_level(j, t)
-        assert internal_form(level) == internal_form(cf_level_by_operators(j, t)), (j, str(t))
-        assert not _leads_negative(level._rden)
-    assert _cf_level(3, cases[-1][1]).is_zero
-    with pytest.raises(DivisionByZero):
-        _cf_level(0, RationalFunction(ZERO))
+            a, a_next = _step(a, j, a_next, j + 1), a
+            assert RationalFunction(a, a_next) == want, (n, j)
+        backward = core.cf_finite_backward(core.CFSpec.standard(n))
+        assert (backward.num, backward.den) == (a, a_next) == core._descend(f(n), ONE, n)
 
 
 def test_shifted_level_monomial_fails_recursion_and_theorem1(monkeypatch):
-    # mutation: the level's monomial l*q^(j+1) becomes l*q^(j+2)
-    source = inspect.getsource(poly._cf_level)
-    assert source.count("(d, j + 1, 1, 0)") == 1
+    # mutation: the step's monomial l*q^k becomes l*q^(k+1), in the forward
+    # pairs, the backward fraction and the recursion descent alike
+    source = inspect.getsource(poly._step)
+    assert source.count("(r, k, 1, 0)") == 1
     namespace = dict(vars(poly))
-    exec(source.replace("(d, j + 1, 1, 0)", "(d, j + 2, 1, 0)"), namespace)
-    mutant = namespace["_cf_level"]
-    monkeypatch.setattr(core, "_cf_level", mutant)
-    monkeypatch.setattr(verify, "_cf_level", mutant)
+    exec(source.replace("(r, k, 1, 0)", "(r, k + 1, 1, 0)"), namespace)
+    mutant = namespace["_step"]
+    monkeypatch.setattr(core, "_step", mutant)
+    monkeypatch.setattr(verify, "_step", mutant)
     report = verify.check_recursion(4)
-    assert not report.all_passed
-    # the descent (s < n) and the rebuilt fraction (s = n + 1) both fail
-    assert {(n, s) for (_, n), (_, s) in (c.params for c in report.cases if not c.passed)} >= {(4, 0), (4, 5)}
+    # every level of the descent (s < n) fails against the g ratios; the
+    # fraction rebuilt from R_n (s = n + 1) takes the same mutant step as the
+    # forward pairs it is checked against, so it agrees with them
+    failed = {(n, s) for (_, n), (_, s) in (c.params for c in report.cases if not c.passed)}
+    assert failed == {(n, s) for n in range(1, 5) for s in range(n)}
+    assert verify.check_theorem1(4).n_pass == 0
     for n in range(1, 5):
         lhs = (ONE + B) * g(n, 0) / g(n, 1)
         assert not verify.compare(lhs, core.cf_finite_backward(core.CFSpec.standard(n)))[0]
 
 
 # -- substitution at b = 0 -----------------------------------------------------------
+
+
+def internal_form(x):
+    return x._rnum._terms, x._rden._terms, x._exps
 
 
 def assert_substitutes_at_b0(x):

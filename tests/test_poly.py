@@ -22,6 +22,7 @@ from rrcf.poly import (
     ZERO,
     _divide_factor,
     _factor_divides,
+    _step,
     _times_factor,
     _vanishes_at_factor_roots,
 )
@@ -110,6 +111,20 @@ def test_times_factor_is_the_general_product(p, r, j):
     # polynomial, j = 0 and operands whose terms cancel, such as (1-b*q^j)*f_j
     for x in (p, r * (ONE - B * Q**j), ZERO, ONE - B * Q**j):
         assert _times_factor(x, j)._terms == _mul_by_loop(x, _factor(j))._terms
+
+
+@given(p=polynomials, r=polynomials, x=polynomials, j=st.integers(0, 6), k=st.integers(0, 6))
+@settings(max_examples=200)
+def test_step_is_f_j_times_p_plus_l_q_k_times_r(p, r, x, j, k):
+    # the continuant step against the ring operators, on random signed
+    # operands and the empty polynomial, and on pairs whose two halves
+    # cancel: in part, (p + l*q^k*x, r - f_j*x) steps to the same as (p, r),
+    # or in full, (l*q^k*x, -f_j*x) steps to zero
+    lqx, fx = L * Q**k * x, _factor(j) * x
+    for a, c in ((p, r), (ZERO, r), (p, ZERO), (p + lqx, r - fx), (lqx, -fx)):
+        assert _step(a, j, c, k)._terms == ((ONE + B * Q**j) * a + L * Q**k * c)._terms
+    assert _step(p + lqx, j, r - fx, k) == _step(p, j, r, k)
+    assert _step(lqx, j, -fx, k).is_zero
 
 
 @given(mono=monomials, c=coefficients.filter(bool), n=st.integers(0, 5))

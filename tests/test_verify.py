@@ -8,7 +8,7 @@ import pytest
 
 from rrcf import cli, core, verify
 from rrcf.core import ConvergentPair, asi_u, g, g_difference, mu
-from rrcf.poly import L, ONE, Q, RationalFunction
+from rrcf.poly import B, L, ONE, Q, RationalFunction
 from rrcf.verify import (
     InvalidRange,
     VerificationReport,
@@ -142,6 +142,43 @@ def test_suites_detect_a_corrupted_forward_pair(monkeypatch, capsys):
         assert all(c.witness is not None and c.witness[0] != c.witness[1] for c in bad)
     assert cli.main(["verify", "--suite", "all", "--n-max", "4"]) == 1
     assert "n=3 s=4 FAIL" in capsys.readouterr().out
+
+
+def assert_zero_divisor_cases(check, expected):
+    # a hook that returns 0 where the suite divides by it fails those cases
+    # instead of raising; the witness names the division and is the same on
+    # every run, through JSON and back
+    report = check()
+    bad = failing_cases(report)
+    assert [tuple(v for _, v in c.params) for c in bad] == expected
+    assert any(c.witness == ("DivisionByZero", "division by zero rational function") for c in bad)
+    assert report.to_json() == check().to_json()
+    assert VerificationReport.from_json(json.loads(json.dumps(report.to_json()))) == report
+
+
+def test_entry16_records_a_zero_nu():
+    zero_nu = lambda n: ONE - ONE if n == 3 else core.nu(n)
+    assert_zero_divisor_cases(lambda: check_entry16(4, nu_fn=zero_nu), [(3,)])
+
+
+def test_theorem1_records_a_zero_g():
+    zero_g = lambda n, s: RationalFunction(0) if (n, s) == (3, 1) else g(n, s)
+    assert_zero_divisor_cases(lambda: check_theorem1(4, g_fn=zero_g), [(3,)])
+
+
+def test_recursion_records_a_zero_g():
+    # g_3(2) = 0 is the divisor of R_1, which R_0's level and R_1's own case
+    # read; R_2 = 0 then fails its level by value
+    zero_g = lambda n, s: RationalFunction(0) if (n, s) == (3, 2) else g(n, s)
+    assert_zero_divisor_cases(lambda: check_recursion(4, g_fn=zero_g), [(3, 0), (3, 1), (3, 2)])
+
+
+def test_b0_records_a_denominator_that_vanishes_at_b0():
+    pole_g = lambda n, s: g(n, s) / RationalFunction(B) if (n, s) == (2, 1) else g(n, s)
+    report = check_b0_reduction(3, g_fn=pole_g)
+    assert [(c.params, c.witness) for c in failing_cases(report)] == [
+        ((("n", 2),), ("DivisionByZero", "denominator vanishes at b=0"))
+    ]
 
 
 def test_telescoping_detects_perturbed_difference():
