@@ -8,7 +8,7 @@ import pytest
 
 from rrcf import cli, core, verify
 from rrcf.core import ConvergentPair, asi_u, g, g_difference, mu
-from rrcf.poly import B, L, ONE, Q, RationalFunction
+from rrcf.poly import B, L, ONE, Q, ZERO, RationalFunction
 from rrcf.verify import (
     InvalidRange,
     VerificationReport,
@@ -157,7 +157,7 @@ def assert_zero_divisor_cases(check, expected):
 
 
 def test_entry16_records_a_zero_nu():
-    zero_nu = lambda n: ONE - ONE if n == 3 else core.nu(n)
+    zero_nu = lambda n: ZERO if n == 3 else core.nu(n)
     assert_zero_divisor_cases(lambda: check_entry16(4, nu_fn=zero_nu), [(3,)])
 
 
