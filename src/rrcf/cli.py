@@ -12,12 +12,21 @@ verification failure, 2 usage error (an ``--out`` path that cannot be
 written included).  Text output is deterministic for fixed
 arguments; ``--format json`` (and ``csv`` for eval) emit the documented
 machine formats, optionally to ``--out`` instead of stdout.
+
+``verify --suite all`` runs on two processes when two CPUs are usable and
+``os.fork`` exists (and no other thread runs): the caller runs the two
+suites that sweep every (n, s), ``recursion`` and ``telescoping``, while one
+forked child runs the other five and sends their reports back as JSON over a
+pipe.  Output, exit code and any exception are those of the one-process
+loop, which runs otherwise; if the child fails, the caller runs its suites
+itself.  ``verify.run_all`` and a single suite always run in-process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -122,13 +131,113 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0 if _emit(_render_rf(obj, args.format), args.out) else USAGE_ERROR
 
 
+# The two suites that sweep every (n, s), and so share the whole g table, run
+# in the caller; the other five run in one forked child.  The two halves take
+# about the same time at n_max = 10.
+_CALLER_SUITES = ("recursion", "telescoping")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """A second CPU, ``os.fork``, and no other thread that a fork would leave behind."""
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return False
+    return hasattr(os, "fork") and _usable_cpus() >= 2
+
+
+def _fork_suites(names: list[str], n_max: int, seed: int):
+    """Fork a child that runs ``names`` and writes their reports as JSON to a pipe.
+
+    Returns (pid, the pipe's read end), or None if no process could be forked.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:  # the child leaves only by os._exit, whatever the suites raise
+        code = 1
+        try:
+            os.close(read_fd)
+            payload = json.dumps([verify.SUITES[name](n_max, seed).to_json() for name in names])
+            with os.fdopen(write_fd, "w") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd)
+
+
+def _child_reports(names: list[str], status: int, text: str) -> dict:
+    """The child's reports by suite name; {} unless it exited 0 and reported every suite in ``names``."""
+    if status != 0:
+        return {}
+    try:
+        reports = [verify.VerificationReport.from_json(data) for data in json.loads(text)]
+    except (ValueError, TypeError, KeyError):
+        return {}
+    by_name = {r.suite: r for r in reports}
+    return by_name if len(reports) == len(names) and set(by_name) == set(names) else {}
+
+
+def _run_all(n_max: int, seed: int) -> list:
+    """Every suite's report in SUITES order, on two processes when two CPUs are usable.
+
+    The reports, and any exception, are those of running the suites in order
+    in one process: a suite the child did not report runs here, and an error
+    in the caller's own suites is raised when the order reaches that suite.
+    """
+    run = lambda name: verify.SUITES[name](n_max, seed)
+    child_names = [name for name in verify.SUITES if name not in _CALLER_SUITES]
+    forked = _fork_suites(child_names, n_max, seed) if _can_fork() else None
+    if forked is None:
+        return [run(name) for name in verify.SUITES]
+    pid, pipe = forked
+    reports, error = {}, None
+    try:
+        try:
+            for name in _CALLER_SUITES:
+                reports[name] = run(name)
+        except Exception as exc:
+            error = exc
+        else:
+            text = pipe.read()  # to EOF before waitpid, so a full pipe cannot block the child
+            _, status = os.waitpid(pid, 0)
+            pid = None
+            reports.update(_child_reports(child_names, status, text))
+    finally:
+        pipe.close()
+        if pid is not None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for name in verify.SUITES:
+        if name not in reports:
+            if name in _CALLER_SUITES:
+                raise error
+            reports[name] = run(name)
+    return [reports[name] for name in verify.SUITES]
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     # division reads no n_max, but every suite rejects one below 1 alike
     if args.n_max < 1:
         print(f"error: --n-max must be >= 1, got {args.n_max}", file=sys.stderr)
         return USAGE_ERROR
-    names = verify.SUITES if args.suite == "all" else (args.suite,)
-    reports = [verify.SUITES[name](args.n_max, args.seed) for name in names]
+    if args.suite == "all":
+        reports = _run_all(args.n_max, args.seed)
+    else:
+        reports = [verify.SUITES[args.suite](args.n_max, args.seed)]
     if args.format == "json":
         payload = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
         text = json.dumps(payload, indent=2)

@@ -34,8 +34,8 @@ Every term of these sums is a q-binomial over a product of factors
 f_j = 1 + b*q^j whose range is known from the summation index, so each sum
 is one polynomial numerator over the last term's denominator, normalised
 once.  The numerator is summed in ascending Horner form: the partial sum
-is multiplied, by shift and add, by the f_j that the next term's
-denominator adds, so no cofactor product is formed.  The denominator is
+is multiplied, by shift and add (``_step(p, j, ZERO, 0)``), by the f_j
+that the next term's denominator adds, so no cofactor product is formed.  The denominator is
 handed to RationalFunction as its j-ranges, so the ratios and differences
 of g values that the identities take cancel those factors by exponent
 counts instead of cross-multiplying and dividing.
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .poly import B, ONE, ZERO, Polynomial, Q, RationalFunction, _step, _times_factor
+from .poly import B, ONE, ZERO, Polynomial, Q, RationalFunction, _step
 from .qpoch import q_binomial
 
 __all__ = [
@@ -105,7 +105,7 @@ def _g_cached(n: int, s: int) -> RationalFunction:
     top = (n - s + 1) // 2
     num = ONE
     for k in range(1, top + 1):
-        num = _times_factor(_times_factor(num, s + k - 1), n - k + 1)
+        num = _step(_step(num, s + k - 1, ZERO, 0), n - k + 1, ZERO, 0)
         num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s + 1, k)
     return RationalFunction._factored(num, den_runs=((s, top), (n - top + 1, top)))
 
@@ -147,7 +147,7 @@ def g_difference(n: int, s: int) -> RationalFunction:
     top = (n - s + 1) // 2
     num = Polynomial.monomial(s + 1, 1)
     for k in range(2, top + 1):
-        num = _times_factor(_times_factor(num, s + k), n - k + 2)
+        num = _step(_step(num, s + k, ZERO, 0), n - k + 2, ZERO, 0)
         num = num + Polynomial.monomial(k * k + s * k, k) * q_binomial(n - k - s, k - 1)
     return RationalFunction._factored(num, den_runs=((s, top + 1), (n - top + 2, top - 1)))
 
@@ -257,8 +257,8 @@ def asi_u(n: int) -> RationalFunction:
     top = n // 2
     num = ONE
     for k in range(1, top + 1):
-        num = _times_factor(_times_factor(num, k), n - k + 1)
+        num = _step(_step(num, k, ZERO, 0), n - k + 1, ZERO, 0)
         num = num + Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k)
     if n % 2:
-        num = _times_factor(num, top + 1)
+        num = _step(num, top + 1, ZERO, 0)
     return RationalFunction(num)

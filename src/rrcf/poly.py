@@ -425,30 +425,19 @@ def _factor_divides(j: int, p: Polynomial) -> bool:
     return not any(acc.values())
 
 
-def _times_factor(p: Polynomial, j: int) -> Polynomial:
-    """p * f_j by shift and add: p plus p shifted by b*q^j, in one pass; zeros are dropped."""
-    out = dict(p._terms)
-    get = out.get
-    for (eq, el, eb), c in p._terms.items():
-        key = (eq + j, el, eb + 1)
-        s = get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return Polynomial._raw(out)
-
-
 def _times_factors(p: Polynomial, exps: Mapping[int, int]) -> Polynomial:
     """p * prod f_j^e over the exponents e > 0 of a signed map, one f_j at a time."""
     for j, e in exps.items():
         for _ in range(e):
-            p = _times_factor(p, j)
+            p = _step(p, j, ZERO, 0)
     return p
 
 
 def _step(p: Polynomial, j: int, r: Polynomial, k: int) -> Polynomial:
-    """f_j*p + l*q^k*r, one continuant step: p, p shifted by b*q^j and r shifted by l*q^k, in one pass."""
+    """f_j*p + l*q^k*r, one continuant step: p, p shifted by b*q^j and r shifted by l*q^k, in one pass.
+
+    With r = ZERO it is the product p * f_j.
+    """
     out = dict(p._terms)
     get = out.get
     for part, sq, sl, sb in ((p, j, 0, 1), (r, k, 1, 0)):

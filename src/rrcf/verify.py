@@ -23,7 +23,7 @@ The suites:
                   R_s = (1+bq^s) g_n(s)/g_n(s+1), each built once; the
                   endpoint seed g_n(n) = g_n(n+1) = 1; and the fraction
                   rebuilt by iterating the descent n times from R_n, a
-                  backward evaluation checked against P_n/Q_n
+                  backward evaluation checked against P_n/Q_n and R_0
 * ``telescoping`` g_n(s) - g_n(s+1) against both the term-by-term route and
                   the closed form with g_n(s+2)
 * ``b0``          g_n(0) -> mu_n and g_n(1) -> nu_n at b = 0
@@ -197,7 +197,9 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
     endpoint seed g_n(n) = g_n(n+1) = 1, and the full fraction rebuilt by
     iterating the descent down from R_n, the backward continuant of
     ``core.cf_finite_backward`` seeded with R_n's num and den, checked
-    against P_n/Q_n from the forward recurrence.
+    against P_n/Q_n from the forward recurrence and against R_0: the
+    forward pairs take the same ``poly._step`` as the descent, and R_0 takes
+    none.
     """
     _require_range(n_max)
     g_fn = g_fn or core.g
@@ -212,9 +214,13 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
         if ok_end:
             ok_end, wit_end = compare(g_fn(n, n + 1), one)
         cases.append(_case(ok_end, wit_end, n=n, s=n))
-        # unwind n levels from the seed R_n: this rebuilds the whole fraction
-        unwind = lambda: (RationalFunction(*core._descend(ratio(n).num, ratio(n).den, n)), fraction)
-        cases.append(_case(*_compare_built(unwind), n=n, s=n + 1))
+        # unwind n levels from the seed R_n: this rebuilds the whole fraction,
+        # checked against the forward pair and against R_0, which no step builds
+        unwind = cache(lambda: RationalFunction(*core._descend(ratio(n).num, ratio(n).den, n)))
+        ok_cf, wit_cf = _compare_built(lambda: (unwind(), fraction))
+        if ok_cf:
+            ok_cf, wit_cf = _compare_built(lambda: (unwind(), ratio(0)))
+        cases.append(_case(ok_cf, wit_cf, n=n, s=n + 1))
     return VerificationReport(suite="recursion", cases=tuple(cases))
 
 

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import rrcf
-from rrcf import cli, core
+from rrcf import cli, core, verify
 from rrcf.core import convergent, mu
 from rrcf.numeric import ConvergenceReport
 from rrcf.poly import L, RationalFunction
@@ -169,6 +170,120 @@ def test_verify_division_seed_flag(capsys):
     code_b, out_b, _ = run_cli(capsys, "verify", "--suite", "division", "--seed", "9")
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+# -- verify --suite all on two processes ---------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the CLI's forks, with two usable CPUs whatever the host has; no child may outlive the test."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_process_all(n_max, seed, fmt):
+    # the loop `rrcf verify --suite all` ran in one process, rendered as the CLI does
+    reports = [check(n_max, seed) for check in verify.SUITES.values()]
+    if fmt == "json":
+        return json.dumps([r.to_json() for r in reports], indent=2) + "\n"
+    return "\n".join(r.render_text() for r in reports) + "\n"
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 6, 10])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_all_on_two_processes_matches_one(capsys, monkeypatch, forks, n_max, seed):
+    for cpus, n_forks in ((2, 1), (1, 0)):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        for fmt in ("text", "json"):
+            forks.clear()
+            code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", str(n_max),
+                                     "--seed", str(seed), "--format", fmt)
+            assert (code, err, len(forks)) == (0, "", n_forks)
+            assert out == _in_process_all(n_max, seed, fmt)
+
+
+def test_verify_single_suite_and_one_cpu_do_not_fork(capsys, monkeypatch, forks):
+    assert run_cli(capsys, "verify", "--suite", "division")[0] == 0
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "2")[0] == 0
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "2")[0] == 0
+    assert forks == []
+
+
+def _raise(message):
+    def check(*args, **kwargs):
+        raise ValueError(message)
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        ({"check_division_step": "boom"}, "boom"),  # in the child
+        ({"check_recursion": "boom"}, "boom"),  # in the caller
+        # both halves raise: the one that comes first in SUITES order wins, as in one process
+        ({"check_entry16": "entry16", "check_telescoping": "telescoping"}, "entry16"),
+        ({"check_recursion": "recursion", "check_asi": "asi"}, "recursion"),
+    ],
+    ids=["child", "caller", "child_first", "caller_first"],
+)
+def test_verify_all_raises_what_one_process_raises(capsys, monkeypatch, forks, broken, message):
+    for name, text in broken.items():
+        monkeypatch.setattr(verify, name, _raise(text))
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cli.main(["verify", "--suite", "all", "--n-max", "3"])
+        assert capsys.readouterr().out == ""
+    assert len(forks) == 1
+
+
+def test_verify_all_patched_state_reaches_the_child(capsys, monkeypatch, forks):
+    # entry16 runs in the child, so it must see the corrupted mu
+    monkeypatch.setattr(core, "mu", lambda n: mu(n) + L if n == 2 else mu(n))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n-max", "3")
+    assert code == 1 and len(forks) == 1
+    assert "suite=entry16\nn=1 PASS\nn=2 FAIL" in out
+
+
+def test_verify_all_interrupted_caller_reaps_the_child(monkeypatch, forks):
+    # the child would run for a minute; the caller's interrupt kills it at once
+    monkeypatch.setattr(verify, "check_entry16", lambda *args, **kwargs: time.sleep(60))
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "check_recursion", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["verify", "--suite", "all", "--n-max", "2"])
+    assert time.perf_counter() - t0 < 30 and len(forks) == 1
+
+
+def test_child_reports_accepts_only_every_suite_from_a_clean_exit():
+    names = ["b0", "division"]
+    reports = [verify.SUITES[name](2, 0) for name in names]
+    text = json.dumps([r.to_json() for r in reports])
+    assert cli._child_reports(names, 0, text) == dict(zip(names, reports))
+    assert cli._child_reports(names, 256, text) == {}
+    assert cli._child_reports(names, 0, text[:-5]) == {}
+    assert cli._child_reports(names, 0, json.dumps([reports[0].to_json()])) == {}
+    assert cli._child_reports(names, 0, json.dumps([reports[0].to_json()] * 2)) == {}
+    assert cli._child_reports(names, 0, json.dumps({"suite": "b0"})) == {}
 
 
 # -- eval ---------------------------------------------------------------------------

@@ -429,9 +429,9 @@ def test_shifted_level_monomial_fails_recursion_and_theorem1(monkeypatch):
     report = verify.check_recursion(4)
     # every level of the descent (s < n) fails against the g ratios; the
     # fraction rebuilt from R_n (s = n + 1) takes the same mutant step as the
-    # forward pairs it is checked against, so it agrees with them
+    # forward pairs, so it agrees with them, and fails against R_0
     failed = {(n, s) for (_, n), (_, s) in (c.params for c in report.cases if not c.passed)}
-    assert failed == {(n, s) for n in range(1, 5) for s in range(n)}
+    assert failed == {(n, s) for n in range(1, 5) for s in [*range(n), n + 1]}
     assert verify.check_theorem1(4).n_pass == 0
     for n in range(1, 5):
         lhs = (ONE + B) * g(n, 0) / g(n, 1)

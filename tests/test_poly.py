@@ -23,7 +23,6 @@ from rrcf.poly import (
     _divide_factor,
     _factor_divides,
     _step,
-    _times_factor,
     _vanishes_at_factor_roots,
 )
 
@@ -107,10 +106,11 @@ def test_product_with_one_is_the_other_operand(p):
 @given(p=polynomials, r=polynomials, j=st.integers(0, 6))
 @settings(max_examples=150)
 def test_times_factor_is_the_general_product(p, r, j):
-    # the shift-and-add kernel against the double loop, on the empty
-    # polynomial, j = 0 and operands whose terms cancel, such as (1-b*q^j)*f_j
+    # the step with r = 0, p * f_j by shift and add, against the double loop,
+    # on the empty polynomial, j = 0 and operands whose terms cancel, such as
+    # (1-b*q^j)*f_j
     for x in (p, r * (ONE - B * Q**j), ZERO, ONE - B * Q**j):
-        assert _times_factor(x, j)._terms == _mul_by_loop(x, _factor(j))._terms
+        assert _step(x, j, ZERO, 0)._terms == _mul_by_loop(x, _factor(j))._terms
 
 
 @given(p=polynomials, r=polynomials, x=polynomials, j=st.integers(0, 6), k=st.integers(0, 6))
@@ -206,7 +206,7 @@ multilevel_polynomials = nonzero_polynomials.filter(lambda p: len({m.eb for m, _
 @given(p=multilevel_polynomials, j=st.integers(0, 6))
 @settings(max_examples=150)
 def test_divide_factor_inverts_times_factor(p, j):
-    assert _divide_factor(_times_factor(p, j), j)._terms == p._terms
+    assert _divide_factor(_step(p, j, ZERO, 0), j)._terms == p._terms
 
 
 def test_degree_and_substitute():
@@ -348,7 +348,7 @@ def test_polynomial_over_one_is_normal_as_it_stands(p, j, c):
     # the constructor keeps a polynomial over 1 as it is; the normal form
     # would change nothing, also with an operand c*f_j named
     for num, exps in ((p, {}), (Polynomial.constant(c), {j: 1} if c else {})):
-        value = RationalFunction(_times_factor(num, j) if exps else num)
+        value = RationalFunction(_step(num, j, ZERO, 0) if exps else num)
         assert (value._rnum, value._rden, value._exps) == poly._normal_form(num, ONE, exps)
 
 

@@ -105,14 +105,15 @@ def test_theorem1_detects_perturbed_g():
     "target, fault, expected",
     [
         ((4, 2), lambda v: v + 1, [(4, 0), (4, 1), (4, 2)]),
-        ((3, 1), lambda v: v + 1, [(3, 0), (3, 1)]),
+        ((3, 1), lambda v: v + 1, [(3, 0), (3, 1), (3, 4)]),
         ((4, 4), lambda v: 2 * v, [(4, 2), (4, 3), (4, 4), (4, 5)]),
     ],
     ids=["g42_plus_1", "g31_plus_1", "g44_times_2"],
 )
 def test_recursion_detects_perturbed_g(target, fault, expected):
     # a wrong g_n(s) spoils R_(s-1) and R_s, so exactly the levels that read
-    # either fail; a wrong g_n(n) also fails the seed and the rebuild from R_n
+    # either fail; a wrong g_n(n) also fails the seed and the rebuild from R_n,
+    # and a wrong g_n(0) or g_n(1) the rebuild, which is checked against R_0
     bad_g = lambda n, s: fault(g(n, s)) if (n, s) == target else g(n, s)
     report = check_recursion(6, g_fn=bad_g)
     bad = failing_cases(report)
