@@ -35,10 +35,10 @@ f_j = 1 + b*q^j whose range is known from the summation index, so each sum
 is one polynomial numerator over the last term's denominator, normalised
 once.  The numerator is summed in ascending Horner form: the partial sum
 is multiplied, by shift and add (``_step(p, j, ZERO, 0)``), by the f_j
-that the next term's denominator adds, so no cofactor product is formed.  The denominator is
-handed to RationalFunction as its j-ranges, so the ratios and differences
-of g values that the identities take cancel those factors by exponent
-counts instead of cross-multiplying and dividing.
+that the next term's denominator adds, so no cofactor product is formed.
+The denominator is handed to RationalFunction as its j-ranges, so the
+ratios and differences of g values that the identities take cancel those
+factors by exponent counts instead of cross-multiplying and dividing.
 
 All functions are pure; g is memoized behind a thread-safe cache bounded at
 ``_G_CACHE_SIZE`` entries, enough for every g_n(s) with n <= 20.

@@ -197,9 +197,10 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
     endpoint seed g_n(n) = g_n(n+1) = 1, and the full fraction rebuilt by
     iterating the descent down from R_n, the backward continuant of
     ``core.cf_finite_backward`` seeded with R_n's num and den, checked
-    against P_n/Q_n from the forward recurrence and against R_0: the
-    forward pairs take the same ``poly._step`` as the descent, and R_0 takes
-    none.
+    against P_n/Q_n from the forward recurrence and against R_0.  The
+    forward pairs take the same ``poly._step`` as the descent; R_0 comes from
+    the g sums, which call ``_step`` only with r = 0 (the product by f_j), so
+    a wrong l*q^k part of the step cannot reach both sides.
     """
     _require_range(n_max)
     g_fn = g_fn or core.g
@@ -215,7 +216,7 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
             ok_end, wit_end = compare(g_fn(n, n + 1), one)
         cases.append(_case(ok_end, wit_end, n=n, s=n))
         # unwind n levels from the seed R_n: this rebuilds the whole fraction,
-        # checked against the forward pair and against R_0, which no step builds
+        # checked against the forward pair and against R_0, which takes no continuant step
         unwind = cache(lambda: RationalFunction(*core._descend(ratio(n).num, ratio(n).den, n)))
         ok_cf, wit_cf = _compare_built(lambda: (unwind(), fraction))
         if ok_cf:
