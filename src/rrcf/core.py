@@ -26,14 +26,14 @@ classical three-term forward recurrence, whose pairs P_n/Q_n are the
 fractions :mod:`rrcf.verify` checks against, and by the backward continuant
 A_j, which builds the same coprime pair innermost-first.  Both are chains of
 one polynomial step f_j*p + l*q^k*r (``poly._step``), with no rational
-function in between.
-It builds the Al-Salam-Ismail orthogonal polynomial U_n(x; a, b) whose
-specialization U_n(1; bq, -l*q^2) equals g_n(1) * (-bq;q)_n.
+function in between.  The Al-Salam-Ismail orthogonal polynomial
+U_n(1; bq, -l*q^2) is that forward denominator Q_n, built from its own
+three-term recurrence, and equals g_n(1) * (-bq;q)_n.
 
-Every term of these sums is a q-binomial over a product of factors
-f_j = 1 + b*q^j whose range is known from the summation index, so each sum
-is one polynomial numerator over the last term's denominator, normalised
-once.  The numerator is summed in ascending Horner form: the partial sum
+Every term of the g and g_difference sums is a q-binomial over a product of
+factors f_j = 1 + b*q^j whose range is known from the summation index, so
+each sum is one polynomial numerator over the last term's denominator,
+normalised once.  The numerator is summed in ascending Horner form: the partial sum
 is multiplied, by shift and add (``_step(p, j, ZERO, 0)``), by the f_j
 that the next term's denominator adds, so no cofactor product is formed.
 The denominator is handed to RationalFunction as its j-ranges, so the
@@ -242,23 +242,17 @@ def convergent(n: int) -> RationalFunction:
 def asi_u(n: int) -> RationalFunction:
     """Al-Salam-Ismail polynomial U_n(x; a, b'), specialized at x=1, a=bq, b'=-l*q^2.
 
-    U_n(x;a,b') = sum_{k=0}^{floor(n/2)} (-a;q)_{n-k} (q;q)_{n-k}
-        / ((-a;q)_k (q;q)_k (q;q)_{n-2k}) * x^(n-2k) (-b')^k q^(k(k-1)),
-    which under the specialization has k-th term
-    l^k q^(k^2+k) [n-k, k]_q (-bq;q)_{n-k}/(-bq;q)_k, that is the polynomial
-    l^k q^(k^2+k) [n-k, k]_q (-bq^(k+1);q)_{n-2k}.  The sum is a polynomial,
-    returned as a RationalFunction with denominator 1, and satisfies
-    asi_u(n) == g(n,1) * (-bq;q)_n.  As in g, it is summed in Horner form.
+    Al-Salam and Ismail (Pacific J. Math. 104, 1983) define U_n by the
+    three-term recurrence U_j = x(1 + a*q^(j-1)) U_(j-1) - b'*q^(j-2) U_(j-2)
+    from U_(-1) = 0, U_0 = 1.  The specialization makes it
+    U_j = (1+bq^j) U_(j-1) + l*q^j U_(j-2), the continued fraction's own
+    denominator recurrence, one ``poly._step`` per level, so U_n = Q_n.
+    Returned as a RationalFunction with denominator 1.  Their explicit sum
+    gives U_n = g_n(1) * (-bq;q)_n, which the ``asi`` suite checks.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    # term k-1's factor range exceeds term k's by f_k and f_(n-k+1); for odd
-    # n every term keeps the middle factor f_((n+1)/2), so it multiplies the sum
-    top = n // 2
-    num = ONE
-    for k in range(1, top + 1):
-        num = _step(_step(num, k, ZERO, 0), n - k + 1, ZERO, 0)
-        num = num + Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k)
-    if n % 2:
-        num = _step(num, top + 1, ZERO, 0)
-    return RationalFunction(num)
+    u, u_prev = ONE, ZERO
+    for j in range(1, n + 1):
+        u, u_prev = _step(u, j, u_prev, j), u
+    return RationalFunction(u)

@@ -9,9 +9,9 @@ ratio of the two basic hypergeometric series
 
 and this module tabulates that approach numerically.  The truncated series
 ratio is the reference value.  It is summed term by term until a term falls
-below term_stop relative to both partial sums; a series that has not met
-that rule within max_terms terms raises NumericBreakdown rather than return
-an unconverged value.
+below the constant TERM_STOP = 1e-18 relative to both partial sums; a series
+that has not met that rule within max_terms terms raises NumericBreakdown
+rather than return an unconverged value.
 
 The convergents are evaluated by the backward recurrence in double
 precision.  Its coefficients c[j] = 1 + b*q^j and a[j] = lam*q^(j+1) depend
@@ -52,7 +52,7 @@ __all__ = [
     "convergence_demo",
 ]
 
-TERM_STOP_DEFAULT = 1e-18
+TERM_STOP = 1e-18
 COMPARE_TOL_DEFAULT = 1e-10
 
 
@@ -72,12 +72,11 @@ class NumericBreakdown(ArithmeticError):
 
 @dataclass(frozen=True)
 class NumericPoint:
-    """A finite evaluation point (q, lam, b) with |q| < 1, plus tolerance knobs."""
+    """A finite evaluation point (q, lam, b) with |q| < 1, plus the demo's comparison tolerance."""
 
     q: float
     lam: float
     b: float
-    term_stop: float = TERM_STOP_DEFAULT
     compare_tol: float = COMPARE_TOL_DEFAULT
 
     def __post_init__(self) -> None:
@@ -118,7 +117,7 @@ def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, i
         num += t
         den += t * q_k
         used = k
-        if k > 0 and abs(t) < pt.term_stop * abs(num) and abs(t * q_k) < pt.term_stop * abs(den):
+        if k > 0 and abs(t) < TERM_STOP * abs(num) and abs(t * q_k) < TERM_STOP * abs(den):
             break
     else:
         raise NumericBreakdown(
@@ -130,7 +129,7 @@ def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, i
 def series_ratio_entry15(pt: NumericPoint, max_terms: int) -> float:
     """Ratio of the two series, both truncated after at most max_terms terms.
 
-    Stops early once a term falls below term_stop relative to both partial
+    Stops early once a term falls below TERM_STOP relative to both partial
     sums, and raises NumericBreakdown if that has not happened within
     max_terms terms; |q| < 1 is enforced by NumericPoint.
     """

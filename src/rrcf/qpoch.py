@@ -24,8 +24,7 @@ from .poly import Polynomial
 
 __all__ = ["q_binomial"]
 
-# Every g, g_difference, mu, nu and asi_u at depths n <= 20 uses 131
-# q-binomials.
+# Every g, g_difference, mu and nu at depths n <= 20 uses 131 q-binomials.
 _Q_BINOMIAL_CACHE_SIZE = 1024
 
 

@@ -27,7 +27,8 @@ The suites:
 * ``telescoping`` g_n(s) - g_n(s+1) against both the term-by-term route and
                   the closed form with g_n(s+2)
 * ``b0``          g_n(0) -> mu_n and g_n(1) -> nu_n at b = 0
-* ``asi``         U_n(1; bq, -l q^2) against g_n(1) (-bq;q)_n
+* ``asi``         U_n(1; bq, -l q^2), the denominator Q_n by its three-term
+                  recurrence, against the explicit sum g_n(1) (-bq;q)_n
 * ``division``    N/D == 1 + (N-D)/D on seeded random rational functions
 
 Every suite takes injectable formula hooks so tests can corrupt one side and

@@ -134,6 +134,8 @@ def _oracle_g_difference(n, s):
 
 
 def _oracle_asi_u(n):
+    # the explicit Al-Salam-Ismail sum, one term at a time; asi_u builds U_n
+    # by its three-term recurrence, so this checks the sum against it
     total = RationalFunction(ZERO)
     for k in range(n // 2 + 1):
         binomial = exact_div(poch_q(k, n - 2 * k + 1), poch_q(k))
@@ -177,6 +179,8 @@ def _cofactor_g_difference(n, s):
 
 
 def _cofactor_asi_u(n):
+    # the explicit Al-Salam-Ismail sum with each term's factors multiplied
+    # out, against asi_u's three-term recurrence
     num = ZERO
     for k in range(n // 2 + 1):
         num = num + Polynomial.monomial(k * k + k, k) * q_binomial(n - k, k) * _b_factors(k + 1, n - k)
@@ -185,7 +189,7 @@ def _cofactor_asi_u(n):
 
 def test_horner_sums_match_cofactor_sums_in_internal_form():
     # the same numerator over the same runs, so even the split into exponent
-    # map and residuals must agree; odd and even n cover asi_u's middle factor
+    # map and residuals must agree
     for n in range(0, 15):
         cases = [(asi_u(n), _cofactor_asi_u(n))]
         if n > 0:
@@ -398,6 +402,17 @@ def test_asi_u_one_by_direct_expansion():
 def test_asi_relation():
     for n in range(1, 11):
         assert asi_u(n) == g(n, 1) * _b_factors(1, n)
+
+
+def test_asi_u_is_the_continued_fractions_denominator():
+    # U_n = Q_n: the forward recurrence's denominator, and A_1 of the
+    # backward continuant, which builds it innermost-first
+    for pair in cf_convergents_iter(CFSpec.standard(24)):
+        n = pair.index
+        u = asi_u(n)
+        assert u.den == ONE and u.num == pair.den, n
+        if n > 0:
+            assert u.num == cf_finite_backward(CFSpec(n)).den, n
 
 
 def test_asi_rejects_negative_n():

@@ -418,7 +418,8 @@ def test_backward_levels_match_operator_route():
 
 def test_shifted_level_monomial_fails_recursion_and_theorem1(monkeypatch):
     # mutation: the step's monomial l*q^k becomes l*q^(k+1), in the forward
-    # pairs, the backward fraction and the recursion descent alike
+    # pairs, the backward fraction, the recursion descent and the
+    # Al-Salam-Ismail recurrence alike
     source = inspect.getsource(poly._step)
     assert source.count("(r, k, 1, 0)") == 1
     namespace = dict(vars(poly))
@@ -436,6 +437,11 @@ def test_shifted_level_monomial_fails_recursion_and_theorem1(monkeypatch):
     for n in range(1, 5):
         lhs = (ONE + B) * g(n, 0) / g(n, 1)
         assert not verify.compare(lhs, core.cf_finite_backward(core.CFSpec.standard(n)))[0]
+    # U_0 = 1 and U_1 = f_1 take no l step; from n = 2 on, U_n no longer
+    # equals the explicit sum, which calls _step only with r = 0
+    report = verify.check_asi(4)
+    assert {n for ((_, n),) in (c.params for c in report.cases if not c.passed)} == {2, 3, 4}
+    assert report.n_pass == 2
 
 
 # -- substitution at b = 0 -----------------------------------------------------------
