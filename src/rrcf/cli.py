@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes are stable for CI use: 0 success / all cases pass, 1 at least one
 verification failure, 2 usage error (an ``--out`` path that cannot be
-written included).  Text output is deterministic for fixed
+written, and a depth above ``EXACT_DEPTH_CAP`` or ``EVAL_N_MAX_CAP``,
+included).  Text output is deterministic for fixed
 arguments; ``--format json`` (and ``csv`` for eval) emit the documented
 machine formats, optionally to ``--out`` instead of stdout.
 
@@ -38,6 +39,11 @@ USAGE_ERROR = 2
 # run out of time or memory.  At the cap the text output takes about 0.7 s
 # and 52 MB, JSON 1.4 s and 133 MB.  The library's convergence_demo has no cap.
 EVAL_N_MAX_CAP = 100_000
+# Largest exact depth, ``--n`` of ``convergent`` and ``series`` and ``--n-max``
+# of ``verify``.  The exact formulas cost about n^5 to n^6, so a depth of a few
+# hundred would run for hours; 128 is twice the depth theorem1 proves in 60 s
+# on a 2-core host (n = 62 to 64).  The library functions have no cap.
+EXACT_DEPTH_CAP = 128
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,18 +54,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_conv = sub.add_parser("convergent", help="print the n-th convergent")
-    p_conv.add_argument("--n", type=int, required=True, help="depth of the continued fraction (>= 1)")
+    p_conv.add_argument(
+        "--n", type=int, required=True, help=f"depth of the continued fraction, 1..{EXACT_DEPTH_CAP}"
+    )
     _output_flags(p_conv)
 
     p_series = sub.add_parser("series", help="print one of the defining sums")
     p_series.add_argument("--which", choices=("mu", "nu", "g", "asi"), required=True)
-    p_series.add_argument("--n", type=int, required=True)
+    p_series.add_argument("--n", type=int, required=True, help=f"depth, at most {EXACT_DEPTH_CAP}")
     p_series.add_argument("--s", type=int, default=None, help="shift parameter, g only (0 <= s <= n+1)")
     _output_flags(p_series)
 
     p_verify = sub.add_parser("verify", help="run an exact identity suite")
     p_verify.add_argument("--suite", choices=(*verify.SUITES, "all"), required=True)
-    p_verify.add_argument("--n-max", type=int, default=10, dest="n_max")
+    p_verify.add_argument(
+        "--n-max", type=int, default=10, dest="n_max", help=f"deepest case, 1..{EXACT_DEPTH_CAP}"
+    )
     p_verify.add_argument("--seed", type=int, default=0)
     _output_flags(p_verify)
 
@@ -95,6 +105,14 @@ def _emit(text: str, out: Path | None) -> bool:
     return True
 
 
+def _above_cap(flag: str, value: int, cap: int) -> bool:
+    """True, after an error line, if ``value`` is above ``cap``."""
+    if value <= cap:
+        return False
+    print(f"error: {flag} must be <= {cap}, got {value}", file=sys.stderr)
+    return True
+
+
 def _render_rf(rf: RationalFunction, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rf.to_json(), indent=2)
@@ -105,6 +123,8 @@ def _cmd_convergent(args: argparse.Namespace) -> int:
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return USAGE_ERROR
+    if _above_cap("--n", args.n, EXACT_DEPTH_CAP):
+        return USAGE_ERROR
     return 0 if _emit(_render_rf(core.convergent(args.n), args.format), args.out) else USAGE_ERROR
 
 
@@ -112,6 +132,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     which = args.which
     if which != "g" and args.s is not None:
         print("error: --s only applies to --which g", file=sys.stderr)
+        return USAGE_ERROR
+    if _above_cap("--n", args.n, EXACT_DEPTH_CAP):
         return USAGE_ERROR
     try:
         if which == "mu":
@@ -234,6 +256,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         print(f"error: --n-max must be >= 1, got {args.n_max}", file=sys.stderr)
         return USAGE_ERROR
+    if _above_cap("--n-max", args.n_max, EXACT_DEPTH_CAP):
+        return USAGE_ERROR
     if args.suite == "all":
         reports = _run_all(args.n_max, args.seed)
     else:
@@ -263,8 +287,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.n_max < 1 or args.k < 1:
         print("error: --n-max and --k must be >= 1", file=sys.stderr)
         return USAGE_ERROR
-    if args.n_max > EVAL_N_MAX_CAP:
-        print(f"error: --n-max must be <= {EVAL_N_MAX_CAP}, got {args.n_max}", file=sys.stderr)
+    if _above_cap("--n-max", args.n_max, EVAL_N_MAX_CAP):
         return USAGE_ERROR
     try:
         pt = numeric.NumericPoint(q=args.q, lam=args.lam, b=args.b)

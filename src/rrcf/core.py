@@ -46,9 +46,8 @@ All functions are pure; g is memoized behind a thread-safe cache bounded at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .poly import B, ONE, ZERO, Polynomial, Q, RationalFunction, _step
 from .qpoch import q_binomial
@@ -152,8 +151,7 @@ def g_difference(n: int, s: int) -> RationalFunction:
     return RationalFunction._factored(num, den_runs=((s, top + 1), (n - top + 2, top - 1)))
 
 
-@dataclass(frozen=True)
-class CFSpec:
+class CFSpec(NamedTuple("CFSpec", [("depth", int)])):
     """The finite continued fraction of depth n.
 
     The depth fixes every entry: leading = 1+b, partial numerator
@@ -162,20 +160,20 @@ class CFSpec:
     field.
     """
 
-    depth: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.depth) is not int:  # a bool is not a depth, nor is 2.0
-            raise TypeError(f"depth must be an int, got {self.depth!r}")
-        _require_positive(self.depth, "depth")
+    def __new__(cls, depth: int) -> "CFSpec":
+        if type(depth) is not int:  # a bool is not a depth, nor is 2.0
+            raise TypeError(f"depth must be an int, got {depth!r}")
+        _require_positive(depth, "depth")
+        return super().__new__(cls, depth)
 
     @classmethod
     def standard(cls, n: int) -> "CFSpec":
         return cls(n)
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
+class ConvergentPair(NamedTuple):
     """Numerator/denominator polynomials of the j-th convergent."""
 
     index: int

@@ -24,19 +24,20 @@ a point takes 158 backward steps on average (median 125, at most 714 over
 20 000 points) instead of the n_max(n_max-1)/2 = 780 of a full recurrence
 per row, with every printed bit the same.
 
-A row of the table is a ``ConvergenceRow`` NamedTuple (n, convergent,
-deviation): it compares equal to the plain tuple of its fields, and a
-changed copy is ``row._replace(...)``, not ``dataclasses.replace``.
+The point, each row of the table and the report are NamedTuples
+(``NumericPoint``, ``ConvergenceRow`` (n, convergent, deviation) and
+``ConvergenceReport``): each compares equal to the plain tuple of its
+fields, and a changed row is ``row._replace(...)``.  ``NumericPoint``
+checks its coordinates when it is built.  ``ConvergenceReport.to_csv``
+writes its lines itself: the repr of an int or a float holds no comma,
+quote or newline, so no field needs CSV quoting.
 
 Everything here is scalar float math; pure functions, no shared state.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import sub
 from typing import NamedTuple
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 TERM_STOP = 1e-18
-COMPARE_TOL_DEFAULT = 1e-10
 
 
 class NonConvergent(ValueError):
@@ -70,20 +70,22 @@ class NumericBreakdown(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class NumericPoint:
-    """A finite evaluation point (q, lam, b) with |q| < 1, plus the demo's comparison tolerance."""
+class NumericPoint(NamedTuple("NumericPoint", [("q", float), ("lam", float), ("b", float)])):
+    """A finite evaluation point (q, lam, b) with |q| < 1.
 
-    q: float
-    lam: float
-    b: float
-    compare_tol: float = COMPARE_TOL_DEFAULT
+    ``compare_tol`` is the demo's comparison tolerance, the same at every point.
+    """
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.q, self.lam, self.b))):
-            raise ValueError(f"q, lambda and b must be finite, got q={self.q}, lambda={self.lam}, b={self.b}")
-        if not abs(self.q) < 1.0:
-            raise NonConvergent(f"|q| must be < 1, got q={self.q}")
+    __slots__ = ()
+
+    compare_tol = 1e-10
+
+    def __new__(cls, q: float, lam: float, b: float) -> "NumericPoint":
+        if not all(map(math.isfinite, (q, lam, b))):
+            raise ValueError(f"q, lambda and b must be finite, got q={q}, lambda={lam}, b={b}")
+        if not abs(q) < 1.0:
+            raise NonConvergent(f"|q| must be < 1, got q={q}")
+        return super().__new__(cls, q, lam, b)
 
 
 def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, int]:
@@ -177,25 +179,20 @@ class ConvergenceRow(NamedTuple):
     deviation: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Deviation of each convergent from the truncated series ratio."""
 
     point: NumericPoint
     series_ratio: float
     truncation_terms: int
-    rows: tuple[ConvergenceRow, ...] = field(default_factory=tuple)
+    rows: tuple[ConvergenceRow, ...] = ()
 
     def final_deviation(self) -> float:
         return self.rows[-1].deviation
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "convergent", "deviation"])
-        for row in self.rows:
-            writer.writerow([row.n, repr(row.convergent), repr(row.deviation)])
-        return buf.getvalue()
+        lines = ["n,convergent,deviation", *(f"{r.n},{r.convergent!r},{r.deviation!r}" for r in self.rows)]
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
         return {

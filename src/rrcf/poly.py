@@ -71,10 +71,9 @@ steps.
 Substituting b = 0 needs no expansion either: every f_j is 1 there, so
 the residuals alone give the value.
 
-``Fraction`` enters only as a ``RationalFunction`` scalar, as a constructor
-argument or an arithmetic operand; it is split there into an integer
-numerator and denominator, so no polynomial ever holds a rational
-coefficient.
+The only scalars are ints: a ``Fraction``, like a float, is neither a
+coefficient nor a ``RationalFunction`` operand, and raises ``TypeError``.
+A rational constant is written as a quotient, ``RationalFunction(3, 4)``.
 
 All values are immutable after construction (the cached expansion of a
 rational function is a pure function of its fields, so a race can only
@@ -85,7 +84,6 @@ to use from multiple threads.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -302,7 +300,6 @@ class Polynomial:
         return result
 
     def __truediv__(self, other) -> "RationalFunction":
-        # any divisor RationalFunction accepts, Fraction scalars included
         return RationalFunction(self) / other
 
     # -- evaluation and substitution ----------------------------------------
@@ -576,12 +573,7 @@ class RationalFunction:
 
     __slots__ = ("_rnum", "_rden", "_exps", "_num", "_den")
 
-    def __init__(self, num: Polynomial | int | Fraction, den: Polynomial | int | Fraction = ONE):
-        # the one place a Fraction is accepted: split it into integers
-        if isinstance(num, Fraction):
-            num, den = num.numerator, num.denominator * den
-        if isinstance(den, Fraction):
-            num, den = den.denominator * num, den.numerator
+    def __init__(self, num: Polynomial | int, den: Polynomial | int = ONE):
         if not isinstance(num, Polynomial):
             num = Polynomial.constant(num)
         if not isinstance(den, Polynomial):
@@ -656,7 +648,7 @@ class RationalFunction:
     def _coerce(value) -> "RationalFunction | None":
         if isinstance(value, RationalFunction):
             return value
-        if isinstance(value, (Polynomial, Fraction)) or type(value) is int:
+        if isinstance(value, Polynomial) or type(value) is int:
             return RationalFunction(value)
         return None
 

@@ -39,9 +39,8 @@ given (n_max, seed) and their case lists are sorted by parameters.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import core
 from .poly import B, L, ONE, DivisionByZero, Polynomial, Q, RationalFunction, _step
@@ -67,8 +66,7 @@ class InvalidRange(ValueError):
     """A suite was asked to sweep an empty or negative parameter range."""
 
 
-@dataclass(frozen=True)
-class VerificationCase:
+class VerificationCase(NamedTuple):
     """One checked instance: its parameters, outcome and failure witness."""
 
     params: tuple[tuple[str, int], ...]
@@ -88,10 +86,11 @@ class VerificationCase:
         return cls(params=params, passed=data["pass"], witness=None if w is None else (w["lhs"], w["rhs"]))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """One suite's cases, in parameter order."""
+
     suite: str
-    cases: tuple[VerificationCase, ...] = field(default_factory=tuple)
+    cases: tuple[VerificationCase, ...] = ()
 
     @property
     def n_pass(self) -> int:

@@ -135,6 +135,19 @@ def test_verify_under_optimize_flag():
     assert "summary pass=4 fail=0" in proc.stdout
 
 
+def test_import_loads_no_dataclasses_inspect_csv_or_fractions():
+    # every rrcf process, and every benchmark worker, pays for what the import loads
+    probe = "import sys; before = set(sys.modules); import rrcf.cli; print(*sorted(set(sys.modules) - before))"
+    env = dict(os.environ, PYTHONPATH=str(Path(rrcf.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "rrcf.cli" in added
+    assert not added & {"dataclasses", "inspect", "csv", "fractions"}
+
+
 def test_verify_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "asi", "--n-max", "3", "--format", "json")
     assert code == 0
@@ -385,6 +398,33 @@ def test_eval_accepts_n_max_at_cap(capsys, tmp_path):
     lines = target.read_text().splitlines()
     assert len(lines) == cli.EVAL_N_MAX_CAP + 1
     assert lines[-1].startswith(f"{cli.EVAL_N_MAX_CAP},")
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--n", ("convergent", "--n", "129")),
+        ("--n", ("series", "--which", "g", "--n", "129", "--s", "0")),
+        ("--n", ("series", "--which", "asi", "--n", "129")),
+        ("--n-max", ("verify", "--suite", "all", "--n-max", "129")),
+        ("--n-max", ("verify", "--suite", "theorem1", "--n-max", "129")),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_exact_depth_above_cap_is_usage_error_before_building(capsys, monkeypatch, flag, argv):
+    def no_build(*args):
+        raise AssertionError("a formula was built")
+
+    for name in ("convergent", "mu", "nu", "g", "asi_u", "cf_convergents_iter"):
+        monkeypatch.setattr(core, name, no_build)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be <= 128, got 129\n"
+
+
+def test_exact_depth_cap_is_inclusive(capsys):
+    assert cli.EXACT_DEPTH_CAP == 128
+    assert run_cli(capsys, "series", "--which", "g", "--n", "128", "--s", "128") == (0, "1\n", "")
 
 
 def test_eval_help_names_the_n_max_cap(capsys):

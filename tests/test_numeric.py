@@ -1,5 +1,7 @@
 """Floating-point series ratio, convergents and the convergence table."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -168,6 +170,41 @@ def test_report_csv_layout():
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == report.rows[0].convergent
+
+
+def _csv_module_route(report):
+    """The table through ``csv.writer``, as ``to_csv`` once wrote it: the oracle for its bytes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "convergent", "deviation"])
+    for row in report.rows:
+        writer.writerow([row.n, repr(row.convergent), repr(row.deviation)])
+    return buf.getvalue()
+
+
+def test_report_csv_matches_the_csv_module_byte_for_byte():
+    rng = random.Random(25)
+    reports = []
+    while len(reports) < 40:
+        pt = NumericPoint(q=rng.uniform(-0.9, 0.9), lam=rng.uniform(-2.0, 2.0), b=rng.uniform(-2.0, 2.0))
+        try:
+            reports.append(convergence_demo(pt, rng.randint(1, 40), 50))
+        except NumericBreakdown:
+            continue
+    extremes = (-0.0, 5e-324, -2.2250738585072014e-308, 1e-17, -1e16, 1.7976931348623157e308, -math.inf, math.nan)
+    rows = tuple(ConvergenceRow(n, v, abs(v)) for n, v in enumerate(extremes, 1))
+    reports += [
+        ConvergenceReport(DESK_POINT, -1.5, 3, rows),
+        ConvergenceReport(DESK_POINT, 1.0, 1, (ConvergenceRow(-7, 123456789.0, -3.25),)),
+        ConvergenceReport(DESK_POINT, 1.0, 1),
+    ]
+    for report in reports:
+        assert report.to_csv().encode() == _csv_module_route(report).encode()
+
+
+def test_point_tolerance_is_one_constant():
+    assert DESK_POINT.compare_tol == NumericPoint.compare_tol == 1e-10
+    assert DESK_POINT._fields == ("q", "lam", "b")
 
 
 def test_rows_are_named_tuples():

@@ -1,6 +1,7 @@
 """Exact polynomial and rational-function arithmetic."""
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -264,7 +265,7 @@ def _int_coefficients(p):
 @settings(max_examples=100)
 def test_every_result_has_int_coefficients(p, r, d, e, v):
     results = [p + r, p - r, p * r, p**e, exact_div(p * d, d), p.substitute("q", v), p.substitute("b", v)]
-    rfs = [RationalFunction(p, d), RationalFunction(p, d) * Fraction(2, 3)]
+    rfs = [RationalFunction(p, d), RationalFunction(p, d) * 2 / 3]
     if r:
         rfs.append(RationalFunction(p * d, d * r))
     for rf in rfs:
@@ -370,11 +371,21 @@ def test_from_terms_json_rejects_rational_coefficient():
             Polynomial.from_terms_json([{"c": c, "q": 1, "l": 0, "b": 0}])
 
 
-def test_fraction_scalars_go_through_rational_function():
-    half = RationalFunction(Q) * Fraction(1, 2)
-    assert half.num == Q and half.den == Polynomial.constant(2)
-    assert Q / Fraction(2, 3) == RationalFunction(3 * Q, 2)
-    assert RationalFunction(Fraction(3, 4), Fraction(1, 2)) == RationalFunction(3, 2)
+def test_fraction_operands_are_rejected():
+    # a rational constant is a quotient of ints, never a Fraction
+    half = Fraction(1, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for lhs, rhs in ((RationalFunction(Q), half), (half, RationalFunction(Q)), (Q, half), (half, Q)):
+            with pytest.raises(TypeError):
+                op(lhs, rhs)
+    with pytest.raises(TypeError):
+        RationalFunction(half)
+    with pytest.raises(TypeError):
+        RationalFunction(Q, half)
+    assert (RationalFunction(Q) == half) is False
+    assert (RationalFunction(ONE) == Fraction(1)) is False
+    half_q = RationalFunction(Q) / 2
+    assert half_q.num == Q and half_q.den == Polynomial.constant(2)
 
 
 # -- numeric evaluation ------------------------------------------------------
@@ -520,8 +531,8 @@ def test_known_factor_operand_becomes_an_exponent():
 def test_rf_content_and_sign_normalization():
     rf = RationalFunction(3 * Q, Polynomial.constant(9))
     assert rf.num == Q and rf.den == Polynomial.constant(3)
-    # (q/2) / (3/2) with the rational content carried by Fraction scalars
-    rf = RationalFunction(Q) * Fraction(1, 2) / Fraction(3, 2)
+    # (q/2) / (3/2) with the rational content carried by int scalars
+    rf = RationalFunction(Q) / 2 / RationalFunction(3, 2)
     assert rf.num == Q and rf.den == Polynomial.constant(3)
     flipped = RationalFunction(ONE, Q - ONE)
     assert flipped.den.trailing()[1] > 0
