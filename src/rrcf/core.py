@@ -169,6 +169,10 @@ class CFSpec(NamedTuple("CFSpec", [("depth", int)])):
         return super().__new__(cls, depth)
 
     @classmethod
+    def _make(cls, iterable) -> "CFSpec":  # and so _replace: a changed copy is checked too
+        return cls(*iterable)
+
+    @classmethod
     def standard(cls, n: int) -> "CFSpec":
         return cls(n)
 

@@ -27,10 +27,11 @@ per row, with every printed bit the same.
 The point, each row of the table and the report are NamedTuples
 (``NumericPoint``, ``ConvergenceRow`` (n, convergent, deviation) and
 ``ConvergenceReport``): each compares equal to the plain tuple of its
-fields, and a changed row is ``row._replace(...)``.  ``NumericPoint``
-checks its coordinates when it is built.  ``ConvergenceReport.to_csv``
-writes its lines itself: the repr of an int or a float holds no comma,
-quote or newline, so no field needs CSV quoting.
+fields, and a changed copy is ``x._replace(...)``.  ``NumericPoint``
+checks its coordinates when it is built, and so when it is copied.
+``ConvergenceReport.to_csv`` writes its lines itself: the repr of an int
+or a float holds no comma, quote or newline, so no field needs CSV
+quoting.
 
 Everything here is scalar float math; pure functions, no shared state.
 """
@@ -86,6 +87,10 @@ class NumericPoint(NamedTuple("NumericPoint", [("q", float), ("lam", float), ("b
         if not abs(q) < 1.0:
             raise NonConvergent(f"|q| must be < 1, got q={q}")
         return super().__new__(cls, q, lam, b)
+
+    @classmethod
+    def _make(cls, iterable) -> "NumericPoint":  # and so _replace: a changed copy is checked too
+        return cls(*iterable)
 
 
 def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, int]:

@@ -251,6 +251,9 @@ def test_cfspec_is_its_depth():
     for bad in (True, 2.0):
         with pytest.raises(TypeError):
             CFSpec(bad)
+    assert CFSpec(3)._replace(depth=4) == CFSpec(4)
+    with pytest.raises(ValueError):
+        CFSpec(3)._replace(depth=0)
 
 
 def test_cfspec_rejects_tampered_entries():

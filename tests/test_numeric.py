@@ -48,6 +48,8 @@ def test_point_requires_q_inside_unit_interval():
         NumericPoint(q=1.0, lam=1.0, b=0.0)
     with pytest.raises(NonConvergent):
         NumericPoint(q=-1.2, lam=0.0, b=0.0)
+    with pytest.raises(NonConvergent):
+        DESK_POINT._replace(q=1.0)
 
 
 def test_series_ratio_lambda_zero_is_one():
