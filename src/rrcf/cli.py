@@ -19,8 +19,8 @@ machine formats, optionally to ``--out`` instead of stdout.
 suites that sweep every (n, s), ``recursion`` and ``telescoping``, while one
 forked child runs the other five and sends their reports back as JSON over a
 pipe.  Output, exit code and any exception are those of the one-process
-loop, which runs otherwise; if the child fails, the caller runs its suites
-itself.  ``verify.run_all`` and a single suite always run in-process.
+loop ``verify.run_all``, which runs otherwise; if the child fails, the caller
+runs its suites itself.  ``verify.run_all`` and a single suite never fork.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def _run_all(n_max: int, seed: int) -> list:
     child_names = [name for name in verify.SUITES if name not in _CALLER_SUITES]
     forked = _fork_suites(child_names, n_max, seed) if _can_fork() else None
     if forked is None:
-        return [run(name) for name in verify.SUITES]
+        return verify.run_all(n_max, seed)
     pid, pipe = forked
     reports, error = {}, None
     try:

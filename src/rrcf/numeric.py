@@ -164,12 +164,6 @@ def _backward(pt: NumericPoint, c: list[float], a: list[float], n: int) -> float
     return 1.0 + a[0] / t
 
 
-def _breakdown(pt: NumericPoint, c: list[float], a: list[float], n: int) -> None:
-    # depth n met a vanished tail: the per-depth recurrence raises, naming that tail
-    _backward(pt, c, a, n)
-    raise AssertionError(f"depth {n} has a vanished tail, but _backward did not raise")
-
-
 def cf_numeric(pt: NumericPoint, n: int) -> float:
     """The n-th convergent 1 + lq/(1+bq) + ... + lq^n/(1+bq^n), by backward recurrence."""
     if n < 1:
@@ -235,7 +229,9 @@ def convergence_demo(pt: NumericPoint, n_max: int, max_terms: int = 50) -> Conve
     have the same bits, NaN equals nothing, and a tail that is zero or below
     1e-280 would have stopped the table at depth n-1, so from the matching
     level down depth n would repeat depth n-1's float operations.  The first
-    depth that breaks down raises its own error.
+    depth that breaks down raises the error ``cf_numeric`` raises for it: its
+    countdown meets the same first vanished tail, since every tail below a
+    match is depth n-1's and was checked there.
 
     The rows are built in one pass of ``tuple.__new__(ConvergenceRow, (n, v, d))``
     over the convergents v, with d = abs(v - ratio) from ``operator.sub``.
@@ -257,7 +253,7 @@ def convergence_demo(pt: NumericPoint, n_max: int, max_terms: int = 50) -> Conve
         j = n - 1
         while j:
             if -1e-280 < t < 1e-280:
-                _breakdown(pt, c, a, n)
+                raise NumericBreakdown(f"tail T_{j + 1} vanished at (q={pt.q}, lam={pt.lam}, b={pt.b})")
             t = c[j] + a[j] / t
             if t == tails[j]:
                 break  # from here down, depth n repeats depth n-1: carry its convergent
@@ -265,7 +261,7 @@ def convergence_demo(pt: NumericPoint, n_max: int, max_terms: int = 50) -> Conve
             j -= 1
         else:
             if -1e-280 < t < 1e-280:
-                _breakdown(pt, c, a, n)
+                raise NumericBreakdown(f"tail T_1 vanished at (q={pt.q}, lam={pt.lam}, b={pt.b})")
             value = 1.0 + a[0] / t
         values.append(value)
     rows = tuple(

@@ -31,8 +31,10 @@ The suites:
                   recurrence, against the explicit sum g_n(1) (-bq;q)_n
 * ``division``    N/D == 1 + (N-D)/D on seeded random rational functions
 
-Every suite takes injectable formula hooks so tests can corrupt one side and
-confirm the suite notices (no vacuous passes).  Reports are deterministic
+Every suite looks up ``core.mu``, ``nu``, ``g``, ``g_difference``, ``asi_u``
+and ``RationalFunction.__truediv__`` when it runs, so a test can replace one
+to corrupt one side and confirm the suite notices (no vacuous passes), also
+in the forked child of ``rrcf verify --suite all``.  Reports are deterministic
 given (n_max, seed) and their case lists are sorted by parameters.
 """
 
@@ -162,25 +164,22 @@ def _fractions(n_max: int) -> Iterator[tuple[int, RationalFunction]]:
         yield pair.index, RationalFunction(pair.num, pair.den)
 
 
-def check_entry16(n_max: int = 15, mu_fn=None, nu_fn=None) -> VerificationReport:
+def check_entry16(n_max: int = 15) -> VerificationReport:
     """mu_n/nu_n equals the depth-n fraction 1 + lq/1 + lq^2/1 + ... at b = 0."""
     _require_range(n_max)
-    mu_fn = mu_fn or core.mu
-    nu_fn = nu_fn or core.nu
     cases = []
     for n, fraction in _fractions(n_max):
-        build = lambda: (RationalFunction(mu_fn(n)) / RationalFunction(nu_fn(n)), fraction.substitute("b", 0))
-        cases.append(_case(*_compare_built(build), n=n))
+        lhs = lambda: RationalFunction(core.mu(n)) / RationalFunction(core.nu(n))
+        cases.append(_case(*_compare_built(lambda: (lhs(), fraction.substitute("b", 0))), n=n))
     return VerificationReport(suite="entry16", cases=tuple(cases))
 
 
-def check_theorem1(n_max: int = 12, g_fn=None) -> VerificationReport:
+def check_theorem1(n_max: int = 12) -> VerificationReport:
     """(1+b) g_n(0)/g_n(1) equals the depth-n generalized fraction."""
     _require_range(n_max)
-    g_fn = g_fn or core.g
     cases = []
     for n, fraction in _fractions(n_max):
-        cases.append(_case(*_compare_built(lambda: ((ONE + B) * g_fn(n, 0) / g_fn(n, 1), fraction)), n=n))
+        cases.append(_case(*_compare_built(lambda: ((ONE + B) * core.g(n, 0) / core.g(n, 1), fraction)), n=n))
     return VerificationReport(suite="theorem1", cases=tuple(cases))
 
 
@@ -189,7 +188,7 @@ def _level(s: int, tail: RationalFunction) -> RationalFunction:
     return RationalFunction(_step(tail.num, s, tail.den, s + 1), tail.num)
 
 
-def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
+def check_recursion(n_max: int = 10) -> VerificationReport:
     """The descent between consecutive level ratios, executed end to end.
 
     With R_s = (1+bq^s) g_n(s)/g_n(s+1) built once for s = 0..n, each
@@ -203,17 +202,16 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
     a wrong l*q^k part of the step cannot reach both sides.
     """
     _require_range(n_max)
-    g_fn = g_fn or core.g
     cases = []
     for n, fraction in _fractions(n_max):
         # R_s, built once; a zero divisor is not cached, so it raises on each use
-        ratio = cache(lambda s: (ONE + B * Q**s) * g_fn(n, s) / g_fn(n, s + 1))
+        ratio = cache(lambda s: (ONE + B * Q**s) * core.g(n, s) / core.g(n, s + 1))
         for s in range(0, n):
             cases.append(_case(*_compare_built(lambda: (ratio(s), _level(s, ratio(s + 1)))), n=n, s=s))
         one = RationalFunction(ONE)
-        ok_end, wit_end = compare(g_fn(n, n), one)
+        ok_end, wit_end = compare(core.g(n, n), one)
         if ok_end:
-            ok_end, wit_end = compare(g_fn(n, n + 1), one)
+            ok_end, wit_end = compare(core.g(n, n + 1), one)
         cases.append(_case(ok_end, wit_end, n=n, s=n))
         # unwind n levels from the seed R_n: this rebuilds the whole fraction,
         # checked against the forward pair and against R_0, which takes no continuant step
@@ -225,47 +223,42 @@ def check_recursion(n_max: int = 10, g_fn=None) -> VerificationReport:
     return VerificationReport(suite="recursion", cases=tuple(cases))
 
 
-def check_telescoping(n_max: int = 10, g_fn=None, diff_fn=None) -> VerificationReport:
+def check_telescoping(n_max: int = 10) -> VerificationReport:
     """g_n(s) - g_n(s+1) vs the bracket-collapsed sum and the closed form."""
     _require_range(n_max)
-    g_fn = g_fn or core.g
-    diff_fn = diff_fn or core.g_difference
     cases = []
     for n in range(1, n_max + 1):
         for s in range(0, n):
-            direct = g_fn(n, s) - g_fn(n, s + 1)
-            ok, wit = compare(direct, diff_fn(n, s))
+            direct = core.g(n, s) - core.g(n, s + 1)
+            ok, wit = compare(direct, core.g_difference(n, s))
             if ok:
                 closed = RationalFunction(L * Q ** (s + 1)) / (ONE + B * Q**s) / (ONE + B * Q ** (s + 1))
-                ok, wit = compare(direct, closed * g_fn(n, s + 2))
+                ok, wit = compare(direct, closed * core.g(n, s + 2))
             cases.append(_case(ok, wit, n=n, s=s))
     return VerificationReport(suite="telescoping", cases=tuple(cases))
 
 
-def check_b0_reduction(n_max: int = 10, g_fn=None) -> VerificationReport:
+def check_b0_reduction(n_max: int = 10) -> VerificationReport:
     """g_n(0) and g_n(1) collapse to mu_n and nu_n when b = 0."""
     _require_range(n_max)
-    g_fn = g_fn or core.g
     cases = []
     for n in range(1, n_max + 1):
-        ok, wit = _compare_built(lambda: (g_fn(n, 0).substitute("b", 0), RationalFunction(core.mu(n))))
+        ok, wit = _compare_built(lambda: (core.g(n, 0).substitute("b", 0), RationalFunction(core.mu(n))))
         if ok:
-            ok, wit = _compare_built(lambda: (g_fn(n, 1).substitute("b", 0), RationalFunction(core.nu(n))))
+            ok, wit = _compare_built(lambda: (core.g(n, 1).substitute("b", 0), RationalFunction(core.nu(n))))
         cases.append(_case(ok, wit, n=n))
     return VerificationReport(suite="b0", cases=tuple(cases))
 
 
-def check_asi(n_max: int = 10, asi_fn=None, g_fn=None) -> VerificationReport:
+def check_asi(n_max: int = 10) -> VerificationReport:
     """U_n(1; bq, -l q^2) == g_n(1) * (-bq;q)_n for n = 0..n_max."""
     _require_range(n_max)
-    asi_fn = asi_fn or core.asi_u
-    g_fn = g_fn or core.g
     cases = []
-    ok0, wit0 = compare(asi_fn(0), RationalFunction(ONE))
+    ok0, wit0 = compare(core.asi_u(0), RationalFunction(ONE))
     cases.append(_case(ok0, wit0, n=0))
     for n in range(1, n_max + 1):
-        rhs = g_fn(n, 1) * RationalFunction._factored(ONE, num_runs=((1, n),))
-        cases.append(_case(*compare(asi_fn(n), rhs), n=n))
+        rhs = core.g(n, 1) * RationalFunction._factored(ONE, num_runs=((1, n),))
+        cases.append(_case(*compare(core.asi_u(n), rhs), n=n))
     return VerificationReport(suite="asi", cases=tuple(cases))
 
 
@@ -291,10 +284,9 @@ def _random_rf(rng: random.Random) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def check_division_step(samples: int = 64, seed: int = 0, div_fn=None) -> VerificationReport:
+def check_division_step(samples: int = 64, seed: int = 0) -> VerificationReport:
     """N/D == 1 + (N-D)/D on fixed plus seeded-random rational functions."""
     _require_range(samples, "samples")
-    div_fn = div_fn or (lambda a, b: a / b)
     rng = random.Random(seed)
     fixed = [
         (RationalFunction(ONE + Q), RationalFunction(ONE + Q)),  # N == D
@@ -303,9 +295,7 @@ def check_division_step(samples: int = 64, seed: int = 0, div_fn=None) -> Verifi
     pairs = fixed + [(_random_rf(rng), _random_rf(rng)) for _ in range(samples)]
     cases = []
     for i, (n_rf, d_rf) in enumerate(pairs):
-        lhs = div_fn(n_rf, d_rf)
-        rhs = 1 + div_fn(n_rf - d_rf, d_rf)
-        cases.append(_case(*compare(lhs, rhs), sample=i))
+        cases.append(_case(*compare(n_rf / d_rf, 1 + (n_rf - d_rf) / d_rf), seed=seed, sample=i))
     return VerificationReport(suite="division", cases=tuple(cases))
 
 

@@ -139,20 +139,24 @@ def test_criterion_8_exact_numeric_consistency():
     _report("8 exact vs numeric convergents on 18-point grid, n <= 12, 1e-10 relative", ok)
 
 
-def test_criterion_9_fault_injection_meta_tests():
-    bad_mu = lambda n: mu(n) + L if n == 2 else mu(n)
+def test_criterion_9_fault_injection_meta_tests(monkeypatch):
+    div = RationalFunction.__truediv__
     bad_g = lambda n, s: g(n, s) * 2 if (n, s) == (2, 0) else g(n, s)
     bad_g_add = lambda n, s: g(n, s) + 1 if (n, s) == (3, 1) else g(n, s)
     bad_diff = lambda n, s: g_difference(n, s) + RationalFunction(Q) if (n, s) == (2, 1) else g_difference(n, s)
-    bad_asi = lambda n: asi_u(n) + L * Q if n == 2 else asi_u(n)
-    bad_div = lambda a, b: (a / b) * RationalFunction(ONE + Q)
-    ok = (
-        not verify.check_entry16(3, mu_fn=bad_mu).all_passed
-        and not verify.check_theorem1(3, g_fn=bad_g).all_passed
-        and not verify.check_recursion(4, g_fn=bad_g_add).all_passed
-        and not verify.check_telescoping(3, diff_fn=bad_diff).all_passed
-        and not verify.check_b0_reduction(3, g_fn=bad_g).all_passed
-        and not verify.check_asi(3, asi_fn=bad_asi).all_passed
-        and not verify.check_division_step(samples=4, seed=0, div_fn=bad_div).all_passed
-    )
+    faults = [
+        (core, "mu", lambda n: mu(n) + L if n == 2 else mu(n), lambda: verify.check_entry16(3)),
+        (core, "g", bad_g, lambda: verify.check_theorem1(3)),
+        (core, "g", bad_g_add, lambda: verify.check_recursion(4)),
+        (core, "g_difference", bad_diff, lambda: verify.check_telescoping(3)),
+        (core, "g", bad_g, lambda: verify.check_b0_reduction(3)),
+        (core, "asi_u", lambda n: asi_u(n) + L * Q if n == 2 else asi_u(n), lambda: verify.check_asi(3)),
+        (RationalFunction, "__truediv__", lambda a, b: div(a, b) * RationalFunction(ONE + Q),
+         lambda: verify.check_division_step(samples=4, seed=0)),
+    ]
+    ok = True
+    for owner, name, fault, check in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fault)
+            ok = ok and not check().all_passed
     _report("9 every suite flags a deliberately corrupted formula", ok)

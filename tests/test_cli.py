@@ -12,9 +12,9 @@ import pytest
 
 import rrcf
 from rrcf import cli, core, verify
-from rrcf.core import convergent, mu
+from rrcf.core import asi_u, convergent, g, g_difference, mu, nu
 from rrcf.numeric import ConvergenceReport
-from rrcf.poly import L, RationalFunction
+from rrcf.poly import L, ONE, Q, RationalFunction
 from rrcf.verify import VerificationReport
 
 
@@ -185,6 +185,18 @@ def test_verify_division_seed_flag(capsys):
     assert out_a == out_b
 
 
+def test_verify_division_report_names_its_seed(capsys):
+    # two seeds draw different samples, and each case of the JSON says which seed it came from
+    outs = []
+    for seed in (0, 3):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "division", "--seed", str(seed), "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and [case["seed"] for case in data["cases"]] == [seed] * 66
+        assert VerificationReport.from_json(data) == verify.check_division_step(seed=seed)
+        outs.append(out)
+    assert outs[0] != outs[1]
+
+
 # -- verify --suite all on two processes ---------------------------------------------
 
 
@@ -265,12 +277,59 @@ def test_verify_all_raises_what_one_process_raises(capsys, monkeypatch, forks, b
     assert len(forks) == 1
 
 
-def test_verify_all_patched_state_reaches_the_child(capsys, monkeypatch, forks):
-    # entry16 runs in the child, so it must see the corrupted mu
-    monkeypatch.setattr(core, "mu", lambda n: mu(n) + L if n == 2 else mu(n))
-    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n-max", "3")
-    assert code == 1 and len(forks) == 1
-    assert "suite=entry16\nn=1 PASS\nn=2 FAIL" in out
+_div = RationalFunction.__truediv__
+
+
+def _fail_lines(out):
+    suite, lines = None, []
+    for line in out.splitlines():
+        if line.startswith("suite="):
+            suite = line[len("suite="):]
+        elif line.endswith(" FAIL"):
+            lines.append(f"{suite} {line[:-len(' FAIL')]}")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "owner, name, fault, expected",
+    [
+        (core, "mu", lambda n: mu(n) + L if n == 2 else mu(n), ["entry16 n=2", "b0 n=2"]),
+        (core, "nu", lambda n: nu(n) + L if n == 2 else nu(n), ["entry16 n=2", "b0 n=2"]),
+        (
+            core,
+            "g",
+            lambda n, s: g(n, s) + 1 if (n, s) == (2, 1) else g(n, s),
+            ["theorem1 n=2", "recursion n=2 s=0", "recursion n=2 s=1", "recursion n=2 s=3",
+             "telescoping n=2 s=0", "telescoping n=2 s=1", "b0 n=2", "asi n=2"],
+        ),
+        (
+            core,
+            "g_difference",
+            lambda n, s: g_difference(n, s) + Q if (n, s) == (2, 1) else g_difference(n, s),
+            ["telescoping n=2 s=1"],
+        ),
+        (core, "asi_u", lambda n: asi_u(n) + L * Q if n == 2 else asi_u(n), ["asi n=2"]),
+        # a wrong quotient by 1 + q: of every division the suites make, only division's sample 0 takes one
+        (
+            RationalFunction,
+            "__truediv__",
+            lambda a, b: _div(a, b) * RationalFunction(ONE + Q) if b == ONE + Q else _div(a, b),
+            ["division seed=0 sample=0"],
+        ),
+    ],
+    ids=["mu", "nu", "g", "g_difference", "asi_u", "truediv"],
+)
+def test_verify_all_patched_state_reaches_the_child(capsys, monkeypatch, forks, owner, name, fault, expected):
+    # the suites look each formula up when they run, so the forked child sees the
+    # replaced attribute as the caller does, and the output is that of one process
+    monkeypatch.setattr(owner, name, fault)
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        outputs.append(run_cli(capsys, "verify", "--suite", "all", "--n-max", "3"))
+    assert outputs[0] == outputs[1] and len(forks) == 1
+    code, out, _ = outputs[1]
+    assert code == 1 and _fail_lines(out) == expected
 
 
 def test_verify_all_interrupted_caller_reaps_the_child(monkeypatch, forks):
@@ -478,7 +537,7 @@ def test_text_output_byte_stable(capsys):
 
 # sha256 of the exit code and output of every command in _golden_commands:
 # it pins the printed normal forms and verify reports byte for byte
-GOLDEN_DIGEST = "e5f0ce4416c9e3a60ea5712499f9fe0b961914328c54d37a1382534c78472a89"
+GOLDEN_DIGEST = "6b236cdfdd54e71530130708435e82557ce951dc4413ae294f939d59048d2187"
 
 
 def _golden_commands():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from rrcf import cli, core, verify
-from rrcf.core import ConvergentPair, asi_u, g, g_difference, mu
+from rrcf.core import ConvergentPair, asi_u, g, g_difference, mu, nu
 from rrcf.poly import B, L, ONE, Q, ZERO, RationalFunction
 from rrcf.verify import (
     InvalidRange,
@@ -85,9 +85,9 @@ def test_run_all_passes():
 # -- fault injection: every suite must notice a corrupted formula -------------
 
 
-def test_entry16_detects_perturbed_mu():
-    bad_mu = lambda n: mu(n) + L if n == 3 else mu(n)
-    report = check_entry16(5, mu_fn=bad_mu)
+def test_entry16_detects_perturbed_mu(monkeypatch):
+    monkeypatch.setattr(core, "mu", lambda n: mu(n) + L if n == 3 else mu(n))
+    report = check_entry16(5)
     bad = failing_cases(report)
     assert len(bad) == 1 and bad[0].params == (("n", 3),)
     assert bad[0].witness is not None
@@ -95,9 +95,9 @@ def test_entry16_detects_perturbed_mu():
     assert lhs != rhs
 
 
-def test_theorem1_detects_perturbed_g():
-    bad_g = lambda n, s: g(n, s) * 2 if (n, s) == (2, 0) else g(n, s)
-    report = check_theorem1(4, g_fn=bad_g)
+def test_theorem1_detects_perturbed_g(monkeypatch):
+    monkeypatch.setattr(core, "g", lambda n, s: g(n, s) * 2 if (n, s) == (2, 0) else g(n, s))
+    report = check_theorem1(4)
     assert [c.params for c in failing_cases(report)] == [(("n", 2),)]
 
 
@@ -110,12 +110,12 @@ def test_theorem1_detects_perturbed_g():
     ],
     ids=["g42_plus_1", "g31_plus_1", "g44_times_2"],
 )
-def test_recursion_detects_perturbed_g(target, fault, expected):
+def test_recursion_detects_perturbed_g(monkeypatch, target, fault, expected):
     # a wrong g_n(s) spoils R_(s-1) and R_s, so exactly the levels that read
     # either fail; a wrong g_n(n) also fails the seed and the rebuild from R_n,
     # and a wrong g_n(0) or g_n(1) the rebuild, which is checked against R_0
-    bad_g = lambda n, s: fault(g(n, s)) if (n, s) == target else g(n, s)
-    report = check_recursion(6, g_fn=bad_g)
+    monkeypatch.setattr(core, "g", lambda n, s: fault(g(n, s)) if (n, s) == target else g(n, s))
+    report = check_recursion(6)
     bad = failing_cases(report)
     assert [tuple(v for _, v in c.params) for c in bad] == expected
     assert all(c.witness is not None and c.witness[0] != c.witness[1] for c in bad)
@@ -146,7 +146,7 @@ def test_suites_detect_a_corrupted_forward_pair(monkeypatch, capsys):
 
 
 def assert_zero_divisor_cases(check, expected):
-    # a hook that returns 0 where the suite divides by it fails those cases
+    # a formula that returns 0 where the suite divides by it fails those cases
     # instead of raising; the witness names the division and is the same on
     # every run, through JSON and back
     report = check()
@@ -157,62 +157,66 @@ def assert_zero_divisor_cases(check, expected):
     assert VerificationReport.from_json(json.loads(json.dumps(report.to_json()))) == report
 
 
-def test_entry16_records_a_zero_nu():
-    zero_nu = lambda n: ZERO if n == 3 else core.nu(n)
-    assert_zero_divisor_cases(lambda: check_entry16(4, nu_fn=zero_nu), [(3,)])
+def test_entry16_records_a_zero_nu(monkeypatch):
+    monkeypatch.setattr(core, "nu", lambda n: ZERO if n == 3 else nu(n))
+    assert_zero_divisor_cases(lambda: check_entry16(4), [(3,)])
 
 
-def test_theorem1_records_a_zero_g():
-    zero_g = lambda n, s: RationalFunction(0) if (n, s) == (3, 1) else g(n, s)
-    assert_zero_divisor_cases(lambda: check_theorem1(4, g_fn=zero_g), [(3,)])
+def test_theorem1_records_a_zero_g(monkeypatch):
+    monkeypatch.setattr(core, "g", lambda n, s: RationalFunction(0) if (n, s) == (3, 1) else g(n, s))
+    assert_zero_divisor_cases(lambda: check_theorem1(4), [(3,)])
 
 
-def test_recursion_records_a_zero_g():
+def test_recursion_records_a_zero_g(monkeypatch):
     # g_3(2) = 0 is the divisor of R_1, which R_0's level and R_1's own case
     # read; R_2 = 0 then fails its level by value
-    zero_g = lambda n, s: RationalFunction(0) if (n, s) == (3, 2) else g(n, s)
-    assert_zero_divisor_cases(lambda: check_recursion(4, g_fn=zero_g), [(3, 0), (3, 1), (3, 2)])
+    monkeypatch.setattr(core, "g", lambda n, s: RationalFunction(0) if (n, s) == (3, 2) else g(n, s))
+    assert_zero_divisor_cases(lambda: check_recursion(4), [(3, 0), (3, 1), (3, 2)])
 
 
-def test_b0_records_a_denominator_that_vanishes_at_b0():
+def test_b0_records_a_denominator_that_vanishes_at_b0(monkeypatch):
     pole_g = lambda n, s: g(n, s) / RationalFunction(B) if (n, s) == (2, 1) else g(n, s)
-    report = check_b0_reduction(3, g_fn=pole_g)
+    monkeypatch.setattr(core, "g", pole_g)
+    report = check_b0_reduction(3)
     assert [(c.params, c.witness) for c in failing_cases(report)] == [
         ((("n", 2),), ("DivisionByZero", "denominator vanishes at b=0"))
     ]
 
 
-def test_telescoping_detects_perturbed_difference():
+def test_telescoping_detects_perturbed_difference(monkeypatch):
     bad_diff = lambda n, s: g_difference(n, s) + RationalFunction(Q) if (n, s) == (2, 1) else g_difference(n, s)
-    report = check_telescoping(3, diff_fn=bad_diff)
+    monkeypatch.setattr(core, "g_difference", bad_diff)
+    report = check_telescoping(3)
     assert [c.params for c in failing_cases(report)] == [(("n", 2), ("s", 1))]
 
 
-def test_b0_detects_perturbed_g():
+def test_b0_detects_perturbed_g(monkeypatch):
     bad_g = lambda n, s: g(n, s) * RationalFunction(ONE + Q, ONE) if n == 2 else g(n, s)
-    report = check_b0_reduction(3, g_fn=bad_g)
+    monkeypatch.setattr(core, "g", bad_g)
+    report = check_b0_reduction(3)
     assert not report.all_passed
 
 
-def test_asi_detects_perturbed_u():
-    bad_asi = lambda n: asi_u(n) + L * Q if n == 2 else asi_u(n)
-    report = check_asi(4, asi_fn=bad_asi)
+def test_asi_detects_perturbed_u(monkeypatch):
+    monkeypatch.setattr(core, "asi_u", lambda n: asi_u(n) + L * Q if n == 2 else asi_u(n))
+    report = check_asi(4)
     assert [c.params for c in failing_cases(report)] == [(("n", 2),)]
 
 
-def test_division_detects_broken_division():
+def test_division_detects_broken_division(monkeypatch):
     # a multiplicative fault does not cancel between the two sides
-    bad_div = lambda a, b: (a / b) * RationalFunction(ONE + Q)
-    report = check_division_step(samples=4, seed=0, div_fn=bad_div)
+    div = RationalFunction.__truediv__
+    monkeypatch.setattr(RationalFunction, "__truediv__", lambda a, b: div(a, b) * RationalFunction(ONE + Q))
+    report = check_division_step(samples=4, seed=0)
     assert not report.all_passed
 
 
 # -- report plumbing -----------------------------------------------------------
 
 
-def test_summary_matches_case_tallies():
-    bad_mu = lambda n: mu(n) + L if n % 2 else mu(n)
-    report = check_entry16(6, mu_fn=bad_mu)
+def test_summary_matches_case_tallies(monkeypatch):
+    monkeypatch.setattr(core, "mu", lambda n: mu(n) + L if n % 2 else mu(n))
+    report = check_entry16(6)
     assert report.n_pass + report.n_fail == len(report.cases)
     assert report.n_pass == sum(1 for c in report.cases if c.passed)
     assert report.n_fail == 3
@@ -252,9 +256,9 @@ def test_invalid_range_rejected():
         run_all(0)
 
 
-def test_report_json_round_trip():
-    bad_mu = lambda n: mu(n) + L if n == 2 else mu(n)
-    for report in [check_entry16(3, mu_fn=bad_mu), check_division_step(samples=4, seed=1)]:
+def test_report_json_round_trip(monkeypatch):
+    monkeypatch.setattr(core, "mu", lambda n: mu(n) + L if n == 2 else mu(n))
+    for report in [check_entry16(3), check_division_step(samples=4, seed=1)]:
         data = json.loads(json.dumps(report.to_json()))
         assert VerificationReport.from_json(data) == report
 
@@ -274,9 +278,9 @@ def test_render_text_layout():
     assert lines[-1] == "summary pass=2 fail=0"
 
 
-def test_failed_case_witness_holds_cross_products():
-    bad_mu = lambda n: mu(n) + L if n == 1 else mu(n)
-    report = check_entry16(1, mu_fn=bad_mu)
+def test_failed_case_witness_holds_cross_products(monkeypatch):
+    monkeypatch.setattr(core, "mu", lambda n: mu(n) + L if n == 1 else mu(n))
+    report = check_entry16(1)
     lhs, rhs = report.cases[0].witness
     # witness strings are canonical polynomials: (mu+l)*den_rhs vs num_rhs*nu
     assert "l" in lhs and lhs != rhs
