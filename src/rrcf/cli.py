@@ -9,10 +9,10 @@ Subcommands:
 
 Exit codes are stable for CI use: 0 success / all cases pass, 1 at least one
 verification failure, 2 usage error (an ``--out`` path that cannot be
-written, and a depth above ``EXACT_DEPTH_CAP`` or ``EVAL_N_MAX_CAP``,
-included).  Text output is deterministic for fixed
-arguments; ``--format json`` (and ``csv`` for eval) emit the documented
-machine formats, optionally to ``--out`` instead of stdout.
+written, a depth above ``EXACT_DEPTH_CAP`` or ``EVAL_N_MAX_CAP``, and an
+``eval --k`` above ``EVAL_K_CAP``, included).  Text output is deterministic
+for fixed arguments; ``--format json`` (and ``csv`` for eval) emit the
+documented machine formats, optionally to ``--out`` instead of stdout.
 
 ``verify --suite all`` runs on two processes when two CPUs are usable and
 ``os.fork`` exists (and no other thread runs): the caller runs the two
@@ -39,6 +39,11 @@ USAGE_ERROR = 2
 # run out of time or memory.  At the cap the text output takes about 0.7 s
 # and 52 MB, JSON 1.4 s and 133 MB.  The library's convergence_demo has no cap.
 EVAL_N_MAX_CAP = 100_000
+# Largest ``rrcf eval --k``.  A series that overflows to inf and then nan
+# never meets the stop rule and runs all k terms before it exits 1: at
+# (0.5, 1e300, 0) the cap takes about 0.4 s on a 2-core host.  The
+# library's convergence_demo has no cap.
+EVAL_K_CAP = 1_000_000
 # Largest exact depth, ``--n`` of ``convergent`` and ``series`` and ``--n-max``
 # of ``verify``.  The exact formulas cost about n^5 to n^6, so a depth of a few
 # hundred would run for hours; 128 is twice the depth theorem1 proves in 60 s
@@ -80,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--n-max", type=int, default=10, dest="n_max", help=f"deepest convergent, 1..{EVAL_N_MAX_CAP}"
     )
-    p_eval.add_argument("--k", type=int, default=50, help="series truncation bound")
+    p_eval.add_argument("--k", type=int, default=50, help=f"series truncation bound, 1..{EVAL_K_CAP}")
     _output_flags(p_eval, csv=True)
 
     return parser
@@ -287,7 +292,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.n_max < 1 or args.k < 1:
         print("error: --n-max and --k must be >= 1", file=sys.stderr)
         return USAGE_ERROR
-    if _above_cap("--n-max", args.n_max, EVAL_N_MAX_CAP):
+    if _above_cap("--n-max", args.n_max, EVAL_N_MAX_CAP) or _above_cap("--k", args.k, EVAL_K_CAP):
         return USAGE_ERROR
     try:
         pt = numeric.NumericPoint(q=args.q, lam=args.lam, b=args.b)

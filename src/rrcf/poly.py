@@ -55,12 +55,11 @@ and add, and cached on the value.  Equality compares the internal forms,
 then the expanded ``num`` and ``den``, and cross-multiplies only when both
 differ.
 
-A sum with a polynomial p (residual denominator 1, no negative exponent)
-skips normalisation, because the result is already normal when the operand
-``x = A/D`` is: ``x + p = (A + p*D)/D``.  An f_j or an integer that divides
-D and A + p*D divides A too, and D keeps its sign; the common f_j are taken
-out as in every sum.  A polynomial over 1 is itself normal, so
-``RationalFunction(p)`` keeps it as it stands.
+Only two values skip ``_normal_form``: the backward fraction ``A_0/A_1``
+of ``core.cf_finite_backward``, whose continuants are coprime and have
+constant term 1, and a negation, which keeps a normal form normal.  Every
+other value is normalised, a polynomial over 1 and a sum with a polynomial
+included.
 
 The continued fraction is built on polynomials alone.  ``_step(p, j, r, k)``
 is ``f_j*p + l*q^k*r`` in one pass over the terms of p and r; the forward
@@ -287,8 +286,6 @@ class Polynomial:
             raise TypeError(f"exponent {n!r} is not an int")
         if n < 0:
             raise ValueError("negative powers are not polynomials; use RationalFunction")
-        if len(self._terms) == 1:  # c^n q^(n*eq) l^(n*el) b^(n*eb), built directly
-            return Polynomial._raw({tuple(n * e for e in key): c**n for key, c in self._terms.items()})
         result = ONE
         base = self
         while n:
@@ -560,10 +557,9 @@ class RationalFunction:
     first use and are cached; when every common f_j is named they are
     exactly the normal form of the expanded inputs.
 
-    A sum with a polynomial operand keeps the other operand's normal form
-    and skips normalisation (the lemma of the module docstring), as
-    does a polynomial over 1 in the constructor; every other operation
-    normalises its result.
+    Every operation normalises its result except a negation, which keeps a
+    normal form normal; the only other value built without normalising is
+    the backward fraction ``A_0/A_1`` of ``core.cf_finite_backward``.
 
     Equality first compares the two internal forms, then the expanded
     ``num`` and ``den``, and cross-multiplies only when both differ, so two
@@ -586,12 +582,7 @@ class RationalFunction:
         j = _factor_index(den)
         if j is not None:
             den, exps[j] = Polynomial.constant(den.constant_coeff), exps.get(j, 0) - 1
-        if den == ONE and all(e > 0 for e in exps.values()):
-            # a polynomial is already normal: content 1 against the denominator 1,
-            # and no named f_j over a residual it could divide
-            self._rnum, self._rden, self._exps = num, den, exps
-        else:
-            self._rnum, self._rden, self._exps = _normal_form(num, den, exps)
+        self._rnum, self._rden, self._exps = _normal_form(num, den, exps)
         self._num = self._den = None
 
     @classmethod
@@ -662,28 +653,10 @@ class RationalFunction:
     def _den_exps(self) -> dict[int, int]:
         return {j: -e for j, e in self._exps.items() if e < 0}
 
-    def _is_polynomial(self) -> bool:
-        return self._rden == ONE and all(e > 0 for e in self._exps.values())
-
-    def _plus_polynomial(self, p: "RationalFunction") -> "RationalFunction":
-        # A/D + p = (A + p*D)/D is already normal, since
-        # whatever divides D and A + p*D divides A, and D keeps its sign;
-        # p's own f_j go onto D by shift and add, after p's residual if not 1
-        own_a, own_p, common = _split_exps(self._exps, p._exps)
-        pd = self._rden if p._rnum == ONE else p._rnum * self._rden
-        num = _times_factors(self._rnum, own_a) + _times_factors(pd, own_p)
-        if num.is_zero:
-            return RationalFunction._from_normal(ZERO, ONE, {})
-        return RationalFunction._from_normal(num, self._rden, {j: e for j, e in common.items() if e})
-
     def __add__(self, other) -> "RationalFunction":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o._is_polynomial():
-            return self._plus_polynomial(o)
-        if self._is_polynomial():
-            return o._plus_polynomial(self)
         own_a, own_b, common = _split_exps(self._exps, o._exps)
         num_a, num_b = _times_factors(self._rnum, own_a), _times_factors(o._rnum, own_b)
         if self._den_exps() == o._den_exps() and self._rden == o._rden:

@@ -447,6 +447,28 @@ def test_eval_rejects_n_max_above_cap_before_building_a_table(capsys, monkeypatc
     assert err == "error: --n-max must be <= 100000, got 100001\n"
 
 
+# a point whose partial sums overflow to inf and then nan, so no term meets the stop rule
+_NAN_SERIES_POINT = ("--q", "0.5", "--lambda", "1e300", "--b", "0")
+
+
+def test_eval_rejects_k_above_cap_before_summing_a_series(capsys, monkeypatch):
+    def no_series(*args):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(cli.numeric, "convergence_demo", no_series)
+    monkeypatch.setattr(cli.numeric, "_series_ratio_with_terms", no_series)
+    code, out, err = run_cli(capsys, "eval", *_NAN_SERIES_POINT, "--k", str(cli.EVAL_K_CAP + 1))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --k must be <= 1000000, got 1000001\n"
+
+
+def test_eval_runs_k_at_cap_to_the_series_error(capsys):
+    code, out, err = run_cli(capsys, "eval", *_NAN_SERIES_POINT, "--k", str(cli.EVAL_K_CAP))
+    assert (code, out) == (1, "")
+    assert err == "error: series did not converge within k=1000000 terms at (q=0.5, lam=1e+300, b=0.0)\n"
+
+
 def test_eval_accepts_n_max_at_cap(capsys, tmp_path):
     target = tmp_path / "cap.csv"
     code, out, err = run_cli(

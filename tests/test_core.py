@@ -350,6 +350,16 @@ def test_convergent_formula_equals_fraction():
         assert lhs == cf_finite_backward(CFSpec.standard(n))
 
 
+def test_convergent_is_the_forward_pair_less_b():
+    # convergent(n) closes with "- b", a sum with a polynomial, and its num
+    # and den are exactly P_n - b*Q_n and Q_n of one forward pass, to depth 24
+    pairs = cf_convergents_iter(CFSpec.standard(24))
+    next(pairs)
+    for pair in pairs:
+        value = convergent(pair.index)
+        assert (value.num, value.den) == (pair.num - B * pair.den, pair.den), pair.index
+
+
 def test_recursion_one_level():
     for n in range(1, 8):
         for s in range(0, n):

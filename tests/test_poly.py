@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import NotDivisible, eval_polynomial, exact_div
@@ -146,8 +146,8 @@ def test_pow_zero_is_one_even_for_zero():
 @pytest.mark.parametrize("base", [Q, Q + L], ids=["one_term", "multi_term"])
 @pytest.mark.parametrize("n", [2.5, 2.0, Fraction(1, 2), True], ids=repr)
 def test_pow_rejects_non_int_exponent(base, n):
-    # the one-term branch builds keys directly, so it must not see a float
-    # or bool exponent: q^2.5 would print, and 2.0 would become a key
+    # a float or bool exponent is rejected up front, on one term as on many,
+    # not read as a count of multiplies
     with pytest.raises(TypeError):
         base**n
 
@@ -344,13 +344,16 @@ def test_family_screen_is_kept_on_the_polynomial(p):
 
 
 @given(p=polynomials, j=st.integers(0, 4), c=coefficients)
+@example(p=2 + 4 * Q - 6 * B, j=2, c=-3)
 @settings(max_examples=100)
 def test_polynomial_over_one_is_normal_as_it_stands(p, j, c):
-    # the constructor keeps a polynomial over 1 as it is; the normal form
-    # would change nothing, also with an operand c*f_j named
-    for num, exps in ((p, {}), (Polynomial.constant(c), {j: 1} if c else {})):
-        value = RationalFunction(_step(num, j, ZERO, 0) if exps else num)
-        assert (value._rnum, value._rden, value._exps) == poly._normal_form(num, ONE, exps)
+    # a polynomial over 1 is already normal, content included, so its value
+    # holds it unchanged; an operand c*f_j names its f_j and keeps c
+    assume(poly._factor_index(p) is None)
+    value = RationalFunction(p)
+    assert (value._rnum, value._rden, value._exps) == (p, ONE, {})
+    value = RationalFunction(_step(Polynomial.constant(c), j, ZERO, 0))
+    assert (value._rnum, value._rden, value._exps) == (Polynomial.constant(c), ONE, {j: 1} if c else {})
 
 
 def test_from_terms_json_rejects_fractional_exponent():

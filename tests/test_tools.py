@@ -1,9 +1,13 @@
-"""Smoke tests for the measurement scripts under ``tools/``: each runs end to end."""
+"""Tests of the measurement scripts under ``tools/``: each runs end to end, and
+bench_pairs' summary counts the wins every BENCH_*.json reports."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,3 +24,35 @@ def test_theorem1_layers_prints_every_layer():
     depth = json.loads(proc.stdout)["6"]
     assert {"theorem1_s", "peak_rss_mb"} <= depth.keys()
     assert {"g0", "g1", "ratio", "backward", "compare", "forward"} <= depth["s"].keys()
+
+
+def _summarise():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.summarise
+
+
+def _run(op_s, ops_per_s):
+    return {"correct": 10, "failed": 1, "errors": ["op 3: wrong"], "op_s.mean": op_s, "ops_per_s": ops_per_s}
+
+
+def test_bench_pairs_summarise_counts_wins_by_each_metrics_direction():
+    pairs = [
+        {"before": _run(1.0, 5.0), "after": _run(0.5, 6.0)},  # after wins both
+        {"before": _run(1.0, 5.0), "after": _run(1.0, 5.0)},  # a tie on both: neither side wins
+        {"before": _run(1.0, 5.0), "after": _run(2.0, 4.0)},  # before wins both
+        {"before": _run(1.0, 5.0), "after": _run(0.9, 7.0)},  # after wins both
+    ]
+    for i, pair in enumerate(pairs):
+        pair.update(seed=i, first="before" if i % 2 == 0 else "after")
+    summary = _summarise()(pairs)
+    # the run counts and the failure lines are not metrics
+    assert set(summary) == {"op_s.mean", "ops_per_s"}
+    # op_s.mean is lower-is-better and ops_per_s higher-is-better; a tie
+    # counted as a win, or ops_per_s read the other way, would change these
+    assert summary["op_s.mean"]["after_wins"] == 2
+    assert summary["ops_per_s"]["after_wins"] == 2
+    assert summary["op_s.mean"]["before"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert summary["op_s.mean"]["after"] == pytest.approx({"median": 0.95, "q1": 0.8, "q3": 1.25})
+
