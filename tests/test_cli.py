@@ -456,7 +456,6 @@ def test_eval_rejects_k_above_cap_before_summing_a_series(capsys, monkeypatch):
         raise AssertionError("a series was summed")
 
     monkeypatch.setattr(cli.numeric, "convergence_demo", no_series)
-    monkeypatch.setattr(cli.numeric, "_series_ratio_with_terms", no_series)
     code, out, err = run_cli(capsys, "eval", *_NAN_SERIES_POINT, "--k", str(cli.EVAL_K_CAP + 1))
     assert code == 2
     assert out == ""

@@ -44,8 +44,6 @@ def test_bench_pairs_summarise_counts_wins_by_each_metrics_direction():
         {"before": _run(1.0, 5.0), "after": _run(2.0, 4.0)},  # before wins both
         {"before": _run(1.0, 5.0), "after": _run(0.9, 7.0)},  # after wins both
     ]
-    for i, pair in enumerate(pairs):
-        pair.update(seed=i, first="before" if i % 2 == 0 else "after")
     summary = _summarise()(pairs)
     # the run counts and the failure lines are not metrics
     assert set(summary) == {"op_s.mean", "ops_per_s"}
@@ -55,4 +53,3 @@ def test_bench_pairs_summarise_counts_wins_by_each_metrics_direction():
     assert summary["ops_per_s"]["after_wins"] == 2
     assert summary["op_s.mean"]["before"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert summary["op_s.mean"]["after"] == pytest.approx({"median": 0.95, "q1": 0.8, "q3": 1.25})
-
