@@ -19,8 +19,10 @@ documented machine formats, optionally to ``--out`` instead of stdout.
 suites that sweep every (n, s), ``recursion`` and ``telescoping``, while one
 forked child runs the other five and sends their reports back as JSON over a
 pipe.  Output, exit code and any exception are those of the one-process
-loop ``verify.run_all``, which runs otherwise; if the child fails, the caller
-runs its suites itself.  ``verify.run_all`` and a single suite never fork.
+loop ``verify.run_all``, which runs otherwise, and which is the one fallback:
+if the fork fails, a caller suite raises or the child does not exit 0, the
+child is killed and reaped and ``verify.run_all`` runs every suite in the
+caller.  ``verify.run_all`` and a single suite never fork.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ USAGE_ERROR = 2
 # run out of time or memory.  At the cap the text output takes about 0.7 s
 # and 52 MB, JSON 1.4 s and 133 MB.  The library's convergence_demo has no cap.
 EVAL_N_MAX_CAP = 100_000
-# Largest ``rrcf eval --k``.  A series that overflows to inf and then nan
-# never meets the stop rule and runs all k terms before it exits 1: at
-# (0.5, 1e300, 0) the cap takes about 0.4 s on a 2-core host.  The
-# library's convergence_demo has no cap.
+# Largest ``rrcf eval --k``.  A series that has not met the stop rule runs
+# all k terms before it exits 1 (one whose partial sums overflow stops at
+# the first of them).  The library's convergence_demo has no cap.
 EVAL_K_CAP = 1_000_000
 # Largest exact depth, ``--n`` of ``convergent`` and ``series`` and ``--n-max``
 # of ``verify``.  The exact formulas cost about n^5 to n^6, so a depth of a few
@@ -110,11 +111,14 @@ def _emit(text: str, out: Path | None) -> bool:
     return True
 
 
-def _above_cap(flag: str, value: int, cap: int) -> bool:
-    """True, after an error line, if ``value`` is above ``cap``."""
-    if value <= cap:
+def _out_of_range(flag: str, value: int, lo: int, hi: int) -> bool:
+    """True, after an error line, if ``value`` is outside ``lo..hi``."""
+    if value < lo:
+        print(f"error: {flag} must be >= {lo}, got {value}", file=sys.stderr)
+    elif value > hi:
+        print(f"error: {flag} must be <= {hi}, got {value}", file=sys.stderr)
+    else:
         return False
-    print(f"error: {flag} must be <= {cap}, got {value}", file=sys.stderr)
     return True
 
 
@@ -125,10 +129,7 @@ def _render_rf(rf: RationalFunction, fmt: str) -> str:
 
 
 def _cmd_convergent(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
-        return USAGE_ERROR
-    if _above_cap("--n", args.n, EXACT_DEPTH_CAP):
+    if _out_of_range("--n", args.n, 1, EXACT_DEPTH_CAP):
         return USAGE_ERROR
     return 0 if _emit(_render_rf(core.convergent(args.n), args.format), args.out) else USAGE_ERROR
 
@@ -138,7 +139,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if which != "g" and args.s is not None:
         print("error: --s only applies to --which g", file=sys.stderr)
         return USAGE_ERROR
-    if _above_cap("--n", args.n, EXACT_DEPTH_CAP):
+    if _out_of_range("--n", args.n, 0 if which == "asi" else 1, EXACT_DEPTH_CAP):
         return USAGE_ERROR
     try:
         if which == "mu":
@@ -178,90 +179,58 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and _usable_cpus() >= 2
 
 
-def _fork_suites(names: list[str], n_max: int, seed: int):
-    """Fork a child that runs ``names`` and writes their reports as JSON to a pipe.
+def _run_all(n_max: int, seed: int) -> list:
+    """Every suite's report in SUITES order, on two processes when two CPUs are usable.
 
-    Returns (pid, the pipe's read end), or None if no process could be forked.
+    The reports, and any exception, are those of ``verify.run_all``, which is
+    also the one fallback: if the fork fails, a caller suite raises, or the
+    child does not exit 0, the child is killed and reaped and the whole loop
+    runs here.  An interrupt propagates once the child is reaped.
     """
+    if not _can_fork():
+        return verify.run_all(n_max, seed)
+    child_names = [name for name in verify.SUITES if name not in _CALLER_SUITES]
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        return verify.run_all(n_max, seed)
     if pid == 0:  # the child leaves only by os._exit, whatever the suites raise
         code = 1
         try:
             os.close(read_fd)
-            payload = json.dumps([verify.SUITES[name](n_max, seed).to_json() for name in names])
+            payload = json.dumps([verify.SUITES[name](n_max, seed).to_json() for name in child_names])
             with os.fdopen(write_fd, "w") as pipe:
                 pipe.write(payload)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, os.fdopen(read_fd)
-
-
-def _child_reports(names: list[str], status: int, text: str) -> dict:
-    """The child's reports by suite name; {} unless it exited 0 and reported every suite in ``names``."""
-    if status != 0:
-        return {}
+    status = None  # the child's exit status, once it is reaped
     try:
-        reports = [verify.VerificationReport.from_json(data) for data in json.loads(text)]
-    except (ValueError, TypeError, KeyError):
-        return {}
-    by_name = {r.suite: r for r in reports}
-    return by_name if len(reports) == len(names) and set(by_name) == set(names) else {}
-
-
-def _run_all(n_max: int, seed: int) -> list:
-    """Every suite's report in SUITES order, on two processes when two CPUs are usable.
-
-    The reports, and any exception, are those of running the suites in order
-    in one process: a suite the child did not report runs here, and an error
-    in the caller's own suites is raised when the order reaches that suite.
-    """
-    run = lambda name: verify.SUITES[name](n_max, seed)
-    child_names = [name for name in verify.SUITES if name not in _CALLER_SUITES]
-    forked = _fork_suites(child_names, n_max, seed) if _can_fork() else None
-    if forked is None:
-        return verify.run_all(n_max, seed)
-    pid, pipe = forked
-    reports, error = {}, None
-    try:
-        try:
-            for name in _CALLER_SUITES:
-                reports[name] = run(name)
-        except Exception as exc:
-            error = exc
-        else:
+        with os.fdopen(read_fd) as pipe:
+            reports = {name: verify.SUITES[name](n_max, seed) for name in _CALLER_SUITES}
             text = pipe.read()  # to EOF before waitpid, so a full pipe cannot block the child
-            _, status = os.waitpid(pid, 0)
-            pid = None
-            reports.update(_child_reports(child_names, status, text))
+        _, status = os.waitpid(pid, 0)
+    except Exception:
+        pass  # status stays None: the child is killed and every suite runs here
     finally:
-        pipe.close()
-        if pid is not None:
+        if status is None:
             import signal
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for name in verify.SUITES:
-        if name not in reports:
-            if name in _CALLER_SUITES:
-                raise error
-            reports[name] = run(name)
+    if status != 0:
+        return verify.run_all(n_max, seed)
+    reports.update(zip(child_names, map(verify.VerificationReport.from_json, json.loads(text))))
     return [reports[name] for name in verify.SUITES]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     # division reads no n_max, but every suite rejects one below 1 alike
-    if args.n_max < 1:
-        print(f"error: --n-max must be >= 1, got {args.n_max}", file=sys.stderr)
-        return USAGE_ERROR
-    if _above_cap("--n-max", args.n_max, EXACT_DEPTH_CAP):
+    if _out_of_range("--n-max", args.n_max, 1, EXACT_DEPTH_CAP):
         return USAGE_ERROR
     if args.suite == "all":
         reports = _run_all(args.n_max, args.seed)
@@ -289,10 +258,7 @@ def _render_eval_text(report: numeric.ConvergenceReport) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if args.n_max < 1 or args.k < 1:
-        print("error: --n-max and --k must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
-    if _above_cap("--n-max", args.n_max, EVAL_N_MAX_CAP) or _above_cap("--k", args.k, EVAL_K_CAP):
+    if _out_of_range("--n-max", args.n_max, 1, EVAL_N_MAX_CAP) or _out_of_range("--k", args.k, 1, EVAL_K_CAP):
         return USAGE_ERROR
     try:
         pt = numeric.NumericPoint(q=args.q, lam=args.lam, b=args.b)

@@ -66,8 +66,8 @@ class NumericBreakdown(ArithmeticError):
 
     Raised at a pole (a continued-fraction tail vanished to machine
     precision, or a factor 1 + b*q^j of the series is zero), when the
-    series' running products underflow to zero, and when the series has not
-    converged within its term bound.
+    series' running products underflow to zero or its partial sums
+    overflow, and when the series has not converged within its term bound.
     """
 
 
@@ -123,6 +123,10 @@ def _series_ratio_with_terms(pt: NumericPoint, max_terms: int) -> tuple[float, i
             ) from None
         num += t
         den += t * q_k
+        if not (math.isfinite(num) and math.isfinite(den)):  # no ratio comes from an inf or nan sum
+            raise NumericBreakdown(
+                f"the series' partial sums overflowed double precision at k={k}, (q={q}, lam={lam}, b={b})"
+            )
         used = k
         if k > 0 and abs(t) < TERM_STOP * abs(num) and abs(t * q_k) < TERM_STOP * abs(den):
             break
@@ -138,7 +142,8 @@ def series_ratio_entry15(pt: NumericPoint, max_terms: int) -> float:
 
     Stops early once a term falls below TERM_STOP relative to both partial
     sums, and raises NumericBreakdown if that has not happened within
-    max_terms terms; |q| < 1 is enforced by NumericPoint.
+    max_terms terms, or at the first partial sum that overflows to inf or
+    nan; |q| < 1 is enforced by NumericPoint.
     """
     return _series_ratio_with_terms(pt, max_terms)[0]
 

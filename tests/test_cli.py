@@ -1,5 +1,6 @@
 """CLI surface: rendering, exit codes, formats, byte stability."""
 
+import errno
 import hashlib
 import json
 import os
@@ -346,16 +347,45 @@ def test_verify_all_interrupted_caller_reaps_the_child(monkeypatch, forks):
     assert time.perf_counter() - t0 < 30 and len(forks) == 1
 
 
-def test_child_reports_accepts_only_every_suite_from_a_clean_exit():
-    names = ["b0", "division"]
-    reports = [verify.SUITES[name](2, 0) for name in names]
-    text = json.dumps([r.to_json() for r in reports])
-    assert cli._child_reports(names, 0, text) == dict(zip(names, reports))
-    assert cli._child_reports(names, 256, text) == {}
-    assert cli._child_reports(names, 0, text[:-5]) == {}
-    assert cli._child_reports(names, 0, json.dumps([reports[0].to_json()])) == {}
-    assert cli._child_reports(names, 0, json.dumps([reports[0].to_json()] * 2)) == {}
-    assert cli._child_reports(names, 0, json.dumps({"suite": "b0"})) == {}
+def test_verify_all_runs_in_one_process_when_fork_fails(capsys, monkeypatch, forks):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    expected = run_cli(capsys, "verify", "--suite", "all", "--n-max", "3")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    pipes = []
+    real_pipe = os.pipe
+
+    def recording_pipe():
+        fds = real_pipe()
+        pipes.extend(fds)
+        return fds
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "3") == expected
+    assert expected[0] == 0 and len(pipes) == 2
+    for fd in pipes:  # both ends of the pipe are closed again
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_verify_all_reruns_every_suite_when_the_child_fails(capsys, monkeypatch, forks):
+    # the child cannot encode its reports and exits 1; text output never calls to_json
+    def no_json(self):
+        raise RuntimeError("no json")
+
+    monkeypatch.setattr(VerificationReport, "to_json", no_json)
+    calls = []
+    real_run_all = verify.run_all
+    monkeypatch.setattr(verify, "run_all", lambda *args: calls.append(args) or real_run_all(*args))
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        outputs.append(run_cli(capsys, "verify", "--suite", "all", "--n-max", "3"))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert len(forks) == 1 and calls == [(3, 0), (3, 0)]
 
 
 # -- eval ---------------------------------------------------------------------------
@@ -397,7 +427,7 @@ def test_eval_at_pole_is_clean_error(capsys):
 
 def test_eval_series_underflow_is_clean_error_not_a_pole(capsys):
     # (q;q)_k underflows to 0.0 at k = 352 although no factor 1 + 0.5 q^k is zero
-    argv = ("eval", "--q", "0.999", "--lambda", "2", "--b", "0.5", "--k", "20000", "--n-max", "5")
+    argv = ("eval", "--q", "0.999", "--lambda", "1", "--b", "0.5", "--k", "20000", "--n-max", "5")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -447,8 +477,8 @@ def test_eval_rejects_n_max_above_cap_before_building_a_table(capsys, monkeypatc
     assert err == "error: --n-max must be <= 100000, got 100001\n"
 
 
-# a point whose partial sums overflow to inf and then nan, so no term meets the stop rule
-_NAN_SERIES_POINT = ("--q", "0.5", "--lambda", "1e300", "--b", "0")
+# a point whose partial sums overflow to inf at k = 2
+_OVERFLOW_POINT = ("--q", "0.5", "--lambda", "1e300", "--b", "0")
 
 
 def test_eval_rejects_k_above_cap_before_summing_a_series(capsys, monkeypatch):
@@ -456,16 +486,18 @@ def test_eval_rejects_k_above_cap_before_summing_a_series(capsys, monkeypatch):
         raise AssertionError("a series was summed")
 
     monkeypatch.setattr(cli.numeric, "convergence_demo", no_series)
-    code, out, err = run_cli(capsys, "eval", *_NAN_SERIES_POINT, "--k", str(cli.EVAL_K_CAP + 1))
+    code, out, err = run_cli(capsys, "eval", *_OVERFLOW_POINT, "--k", str(cli.EVAL_K_CAP + 1))
     assert code == 2
     assert out == ""
     assert err == "error: --k must be <= 1000000, got 1000001\n"
 
 
 def test_eval_runs_k_at_cap_to_the_series_error(capsys):
-    code, out, err = run_cli(capsys, "eval", *_NAN_SERIES_POINT, "--k", str(cli.EVAL_K_CAP))
+    code, out, err = run_cli(capsys, "eval", *_OVERFLOW_POINT, "--k", str(cli.EVAL_K_CAP))
     assert (code, out) == (1, "")
-    assert err == "error: series did not converge within k=1000000 terms at (q=0.5, lam=1e+300, b=0.0)\n"
+    assert err == (
+        "error: the series' partial sums overflowed double precision at k=2, (q=0.5, lam=1e+300, b=0.0)\n"
+    )
 
 
 def test_eval_accepts_n_max_at_cap(capsys, tmp_path):
@@ -500,6 +532,21 @@ def test_exact_depth_above_cap_is_usage_error_before_building(capsys, monkeypatc
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {flag} must be <= 128, got 129\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("series", "--which", "mu", "--n", "0"), "--n must be >= 1, got 0"),
+        (("series", "--which", "g", "--n", "0", "--s", "0"), "--n must be >= 1, got 0"),
+        (("series", "--which", "asi", "--n", "-1"), "--n must be >= 0, got -1"),
+        (("verify", "--suite", "all", "--n-max", "-3"), "--n-max must be >= 1, got -3"),
+        (("eval", "--q", "0.5", "--lambda", "1", "--b", "0", "--n-max", "0"), "--n-max must be >= 1, got 0"),
+        (("eval", "--q", "0.5", "--lambda", "1", "--b", "0", "--k", "0"), "--k must be >= 1, got 0"),
+    ],
+)
+def test_flag_below_its_range_names_the_flag(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_exact_depth_cap_is_inclusive(capsys):

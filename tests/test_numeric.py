@@ -106,15 +106,33 @@ def test_series_ratio_breakdown_at_pole():
 
 
 def test_series_underflow_is_not_reported_as_pole():
-    # every factor 1 + 0.5 q^k exceeds 1, but (q;q)_k underflows to 0.0 at k = 352
-    pt = NumericPoint(q=0.999, lam=2.0, b=0.5)
+    # every factor 1 + 0.5 q^k exceeds 1, but (q;q)_k underflows to 0.0 at k = 352, with the
+    # partial sums still finite (at lam = 2 they overflow first, at k = 318)
+    pt = NumericPoint(q=0.999, lam=1.0, b=0.5)
     message = (
         "the running products (q;q)_k (-bq;q)_k underflowed to 0 in double precision"
-        " at k=352, (q=0.999, lam=2.0, b=0.5)"
+        " at k=352, (q=0.999, lam=1.0, b=0.5)"
     )
     assert "pole" not in message
     assert _outcome(series_ratio_entry15, pt, 20000) == (NumericBreakdown, message)
     assert _outcome(convergence_demo, pt, 5, 20000) == (NumericBreakdown, message)
+
+
+@pytest.mark.parametrize(
+    "q, lam, b, k",
+    [
+        (0.5, 1e300, 0.0, 2),  # lam^2 overflows; the inf and then nan sums used to run every term
+        (0.5, -1e300, 0.0, 2),
+        (0.5, 1e200, 0.0, 2),
+        (0.999, 2.0, 0.5, 318),  # the terms outgrow double precision before (q;q)_k underflows
+    ],
+)
+def test_series_overflow_stops_at_the_first_non_finite_partial_sum(q, lam, b, k):
+    pt = NumericPoint(q=q, lam=lam, b=b)
+    message = f"the series' partial sums overflowed double precision at k={k}, (q={q}, lam={lam}, b={b})"
+    for max_terms in (k, 20000):
+        assert _outcome(series_ratio_entry15, pt, max_terms) == (NumericBreakdown, message)
+        assert _outcome(convergence_demo, pt, 5, max_terms) == (NumericBreakdown, message)
 
 
 def test_exact_matches_numeric_at_desk_point():

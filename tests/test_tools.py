@@ -3,6 +3,8 @@ bench_pairs' summary counts the wins every BENCH_*.json reports."""
 
 import importlib.util
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,26 @@ def test_theorem1_layers_prints_every_layer():
     depth = json.loads(proc.stdout)["6"]
     assert {"theorem1_s", "peak_rss_mb"} <= depth.keys()
     assert {"g0", "g1", "ratio", "backward", "compare", "forward"} <= depth["s"].keys()
+
+
+def test_theorem1_layers_children_load_compiled_rrcf_and_leave_src_alone(tmp_path):
+    # a source tree with no bytecode: under PYTHONDONTWRITEBYTECODE the children used to compile rrcf
+    src = shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONVERBOSE": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "theorem1_layers.py"), "--src", str(src), "6"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "6" in json.loads(proc.stdout)
+    loaded = [line for line in proc.stderr.splitlines() if line.startswith("# code object from") and "poly" in line]
+    assert len(loaded) == 1 and loaded[0].endswith(f"/rrcf/__pycache__/poly.{sys.implementation.cache_tag}.pyc'")
+    assert str(src) not in loaded[0]
+    assert not list(src.rglob("__pycache__"))
 
 
 def _summarise():
