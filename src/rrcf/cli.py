@@ -14,22 +14,14 @@ written, a depth above ``EXACT_DEPTH_CAP`` or ``EVAL_N_MAX_CAP``, and an
 for fixed arguments; ``--format json`` (and ``csv`` for eval) emit the
 documented machine formats, optionally to ``--out`` instead of stdout.
 
-``verify --suite all`` runs on two processes when two CPUs are usable and
-``os.fork`` exists (and no other thread runs): the caller runs the two
-suites that sweep every (n, s), ``recursion`` and ``telescoping``, while one
-forked child runs the other five and sends their reports back as JSON over a
-pipe.  Output, exit code and any exception are those of the one-process
-loop ``verify.run_all``, which runs otherwise, and which is the one fallback:
-if the fork fails, a caller suite raises or the child does not exit 0, the
-child is killed and reaped and ``verify.run_all`` runs every suite in the
-caller.  ``verify.run_all`` and a single suite never fork.
+``verify --suite all`` runs every suite in this process, in ``verify.SUITES``
+order (``verify.run_all``), so all seven share one memo table of g values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -159,81 +151,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0 if _emit(_render_rf(obj, args.format), args.out) else USAGE_ERROR
 
 
-# The two suites that sweep every (n, s), and so share the whole g table, run
-# in the caller; the other five run in one forked child.  The two halves take
-# about the same time at n_max = 10.
-_CALLER_SUITES = ("recursion", "telescoping")
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """A second CPU, ``os.fork``, and no other thread that a fork would leave behind."""
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return False
-    return hasattr(os, "fork") and _usable_cpus() >= 2
-
-
-def _run_all(n_max: int, seed: int) -> list:
-    """Every suite's report in SUITES order, on two processes when two CPUs are usable.
-
-    The reports, and any exception, are those of ``verify.run_all``, which is
-    also the one fallback: if the fork fails, a caller suite raises, or the
-    child does not exit 0, the child is killed and reaped and the whole loop
-    runs here.  An interrupt propagates once the child is reaped.
-    """
-    if not _can_fork():
-        return verify.run_all(n_max, seed)
-    child_names = [name for name in verify.SUITES if name not in _CALLER_SUITES]
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return verify.run_all(n_max, seed)
-    if pid == 0:  # the child leaves only by os._exit, whatever the suites raise
-        code = 1
-        try:
-            os.close(read_fd)
-            payload = json.dumps([verify.SUITES[name](n_max, seed).to_json() for name in child_names])
-            with os.fdopen(write_fd, "w") as pipe:
-                pipe.write(payload)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    status = None  # the child's exit status, once it is reaped
-    try:
-        with os.fdopen(read_fd) as pipe:
-            reports = {name: verify.SUITES[name](n_max, seed) for name in _CALLER_SUITES}
-            text = pipe.read()  # to EOF before waitpid, so a full pipe cannot block the child
-        _, status = os.waitpid(pid, 0)
-    except Exception:
-        pass  # status stays None: the child is killed and every suite runs here
-    finally:
-        if status is None:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if status != 0:
-        return verify.run_all(n_max, seed)
-    reports.update(zip(child_names, map(verify.VerificationReport.from_json, json.loads(text))))
-    return [reports[name] for name in verify.SUITES]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     # division reads no n_max, but every suite rejects one below 1 alike
     if _out_of_range("--n-max", args.n_max, 1, EXACT_DEPTH_CAP):
         return USAGE_ERROR
     if args.suite == "all":
-        reports = _run_all(args.n_max, args.seed)
+        reports = verify.run_all(args.n_max, args.seed)
     else:
         reports = [verify.SUITES[args.suite](args.n_max, args.seed)]
     if args.format == "json":

@@ -214,7 +214,13 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # a constant equals its int (ZERO equals 0), so it must hash as that int
+        terms = self._terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and _UNIT_MONO in terms:
+            return hash(terms[_UNIT_MONO])
+        return hash(frozenset(terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -34,7 +34,7 @@ The suites:
 Every suite looks up ``core.mu``, ``nu``, ``g``, ``g_difference``, ``asi_u``
 and ``RationalFunction.__truediv__`` when it runs, so a test can replace one
 to corrupt one side and confirm the suite notices (no vacuous passes), also
-in the forked child of ``rrcf verify --suite all``.  Reports are deterministic
+through ``rrcf verify --suite all``.  Reports are deterministic
 given (n_max, seed) and their case lists are sorted by parameters.
 """
 
@@ -226,14 +226,16 @@ def check_recursion(n_max: int = 10) -> VerificationReport:
 def check_telescoping(n_max: int = 10) -> VerificationReport:
     """g_n(s) - g_n(s+1) vs the bracket-collapsed sum and the closed form."""
     _require_range(n_max)
+    # l q^(s+1)/((1+bq^s)(1+bq^(s+1))) depends on s alone, so it is built once per
+    # s; by the operators, which keep this side independent of the g sums
+    closed = cache(lambda s: RationalFunction(L * Q ** (s + 1)) / (ONE + B * Q**s) / (ONE + B * Q ** (s + 1)))
     cases = []
     for n in range(1, n_max + 1):
         for s in range(0, n):
             direct = core.g(n, s) - core.g(n, s + 1)
             ok, wit = compare(direct, core.g_difference(n, s))
             if ok:
-                closed = RationalFunction(L * Q ** (s + 1)) / (ONE + B * Q**s) / (ONE + B * Q ** (s + 1))
-                ok, wit = compare(direct, closed * core.g(n, s + 2))
+                ok, wit = compare(direct, closed(s) * core.g(n, s + 2))
             cases.append(_case(ok, wit, n=n, s=s))
     return VerificationReport(suite="telescoping", cases=tuple(cases))
 

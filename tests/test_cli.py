@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -198,28 +197,28 @@ def test_verify_division_report_names_its_seed(capsys):
     assert outs[0] != outs[1]
 
 
-# -- verify --suite all on two processes ---------------------------------------------
+# -- verify --suite all in one process -------------------------------------------------
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Count the CLI's forks, with two usable CPUs whatever the host has; no child may outlive the test."""
+    """Record every attempt to fork or open a pipe, each of which raises; the CLI makes none."""
     calls = []
-    real_fork = os.fork
 
-    def counting_fork():
-        calls.append(1)
-        return real_fork()
+    def refuse(name):
+        def call(*args):
+            calls.append(name)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    yield calls
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        return call
+
+    monkeypatch.setattr(os, "fork", refuse("fork"))
+    monkeypatch.setattr(os, "pipe", refuse("pipe"))
+    return calls
 
 
 def _in_process_all(n_max, seed, fmt):
-    # the loop `rrcf verify --suite all` ran in one process, rendered as the CLI does
+    # the suites called one by one, rendered as the CLI does
     reports = [check(n_max, seed) for check in verify.SUITES.values()]
     if fmt == "json":
         return json.dumps([r.to_json() for r in reports], indent=2) + "\n"
@@ -228,24 +227,26 @@ def _in_process_all(n_max, seed, fmt):
 
 @pytest.mark.parametrize("n_max", [1, 2, 6, 10])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_verify_all_on_two_processes_matches_one(capsys, monkeypatch, forks, n_max, seed):
-    for cpus, n_forks in ((2, 1), (1, 0)):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        for fmt in ("text", "json"):
-            forks.clear()
-            code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", str(n_max),
-                                     "--seed", str(seed), "--format", fmt)
-            assert (code, err, len(forks)) == (0, "", n_forks)
-            assert out == _in_process_all(n_max, seed, fmt)
+def test_verify_all_on_two_processes_matches_one(capsys, forks, n_max, seed):
+    # --suite all prints what the suites called one by one print, with no fork
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", str(n_max),
+                                 "--seed", str(seed), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == _in_process_all(n_max, seed, fmt)
+    assert forks == []
 
 
 def test_verify_single_suite_and_one_cpu_do_not_fork(capsys, monkeypatch, forks):
     assert run_cli(capsys, "verify", "--suite", "division")[0] == 0
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "2")[0] == 0
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "2")[0] == 0
+    assert forks == []
+
+
+def test_verify_all_exits_zero_when_fork_raises(capsys, forks):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", "3")
+    assert (code, err) == (0, "") and out.count("suite=") == len(verify.SUITES)
     assert forks == []
 
 
@@ -259,9 +260,9 @@ def _raise(message):
 @pytest.mark.parametrize(
     "broken, message",
     [
-        ({"check_division_step": "boom"}, "boom"),  # in the child
-        ({"check_recursion": "boom"}, "boom"),  # in the caller
-        # both halves raise: the one that comes first in SUITES order wins, as in one process
+        ({"check_division_step": "boom"}, "boom"),  # the last suite
+        ({"check_recursion": "boom"}, "boom"),  # a middle suite
+        # two suites raise: the one that comes first in SUITES order wins
         ({"check_entry16": "entry16", "check_telescoping": "telescoping"}, "entry16"),
         ({"check_recursion": "recursion", "check_asi": "asi"}, "recursion"),
     ],
@@ -270,12 +271,9 @@ def _raise(message):
 def test_verify_all_raises_what_one_process_raises(capsys, monkeypatch, forks, broken, message):
     for name, text in broken.items():
         monkeypatch.setattr(verify, name, _raise(text))
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            cli.main(["verify", "--suite", "all", "--n-max", "3"])
-        assert capsys.readouterr().out == ""
-    assert len(forks) == 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cli.main(["verify", "--suite", "all", "--n-max", "3"])
+    assert capsys.readouterr().out == "" and forks == []
 
 
 _div = RationalFunction.__truediv__
@@ -321,71 +319,11 @@ def _fail_lines(out):
     ids=["mu", "nu", "g", "g_difference", "asi_u", "truediv"],
 )
 def test_verify_all_patched_state_reaches_the_child(capsys, monkeypatch, forks, owner, name, fault, expected):
-    # the suites look each formula up when they run, so the forked child sees the
-    # replaced attribute as the caller does, and the output is that of one process
+    # the suites look each formula up when they run, so --suite all sees the
+    # replaced attribute, and each fault fails exactly the cases that use it
     monkeypatch.setattr(owner, name, fault)
-    outputs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        outputs.append(run_cli(capsys, "verify", "--suite", "all", "--n-max", "3"))
-    assert outputs[0] == outputs[1] and len(forks) == 1
-    code, out, _ = outputs[1]
-    assert code == 1 and _fail_lines(out) == expected
-
-
-def test_verify_all_interrupted_caller_reaps_the_child(monkeypatch, forks):
-    # the child would run for a minute; the caller's interrupt kills it at once
-    monkeypatch.setattr(verify, "check_entry16", lambda *args, **kwargs: time.sleep(60))
-
-    def interrupted(*args, **kwargs):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(verify, "check_recursion", interrupted)
-    t0 = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        cli.main(["verify", "--suite", "all", "--n-max", "2"])
-    assert time.perf_counter() - t0 < 30 and len(forks) == 1
-
-
-def test_verify_all_runs_in_one_process_when_fork_fails(capsys, monkeypatch, forks):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    expected = run_cli(capsys, "verify", "--suite", "all", "--n-max", "3")
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    pipes = []
-    real_pipe = os.pipe
-
-    def recording_pipe():
-        fds = real_pipe()
-        pipes.extend(fds)
-        return fds
-
-    def failing_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "pipe", recording_pipe)
-    monkeypatch.setattr(os, "fork", failing_fork)
-    assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "3") == expected
-    assert expected[0] == 0 and len(pipes) == 2
-    for fd in pipes:  # both ends of the pipe are closed again
-        with pytest.raises(OSError):
-            os.fstat(fd)
-
-
-def test_verify_all_reruns_every_suite_when_the_child_fails(capsys, monkeypatch, forks):
-    # the child cannot encode its reports and exits 1; text output never calls to_json
-    def no_json(self):
-        raise RuntimeError("no json")
-
-    monkeypatch.setattr(VerificationReport, "to_json", no_json)
-    calls = []
-    real_run_all = verify.run_all
-    monkeypatch.setattr(verify, "run_all", lambda *args: calls.append(args) or real_run_all(*args))
-    outputs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        outputs.append(run_cli(capsys, "verify", "--suite", "all", "--n-max", "3"))
-    assert outputs[0] == outputs[1] and outputs[0][0] == 0
-    assert len(forks) == 1 and calls == [(3, 0), (3, 0)]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n-max", "3")
+    assert code == 1 and _fail_lines(out) == expected and forks == []
 
 
 # -- eval ---------------------------------------------------------------------------

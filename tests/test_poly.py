@@ -331,6 +331,17 @@ def test_monomial_and_constant_match_the_constructor(mono, c):
     assert Polynomial.constant(c)._terms == Polynomial({(0, 0, 0): c})._terms
 
 
+@given(p=polynomials, c=st.integers(-(2**70), 2**70))
+def test_equal_values_hash_alike(p, c):
+    # a constant equals its int, so a set or a dict key cannot hold both
+    const = Polynomial.constant(c)
+    assert const == c and hash(const) == hash(c)
+    assert len({c, const}) == 1 and {c: "int", const: "poly"} == {c: "poly"}
+    assert hash(p) == hash(Polynomial(dict(p.terms()))) and len({p, Polynomial(dict(p.terms()))}) == 1
+    assert len({0: "a", ZERO: "b"}) == 1
+
+
+
 @given(p=nonzero_polynomials)
 def test_sign_rule_reads_the_trailing_coefficient(p):
     assert poly._leads_negative(p) == (p.trailing()[1] < 0)

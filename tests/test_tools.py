@@ -1,5 +1,6 @@
-"""Tests of the measurement scripts under ``tools/``: each runs end to end, and
-bench_pairs' summary counts the wins every BENCH_*.json reports."""
+"""Tests of the measurement scripts under ``tools/``: each runs end to end,
+bench_pairs' summary counts the wins every BENCH_*.json reports, and its host
+overlap probe times one loop alone and two together."""
 
 import importlib.util
 import json
@@ -48,11 +49,11 @@ def test_theorem1_layers_children_load_compiled_rrcf_and_leave_src_alone(tmp_pat
     assert not list(src.rglob("__pycache__"))
 
 
-def _summarise():
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summarise
+    return module
 
 
 def _run(op_s, ops_per_s):
@@ -66,7 +67,7 @@ def test_bench_pairs_summarise_counts_wins_by_each_metrics_direction():
         {"before": _run(1.0, 5.0), "after": _run(2.0, 4.0)},  # before wins both
         {"before": _run(1.0, 5.0), "after": _run(0.9, 7.0)},  # after wins both
     ]
-    summary = _summarise()(pairs)
+    summary = _bench_pairs().summarise(pairs)
     # the run counts and the failure lines are not metrics
     assert set(summary) == {"op_s.mean", "ops_per_s"}
     # op_s.mean is lower-is-better and ops_per_s higher-is-better; a tie
@@ -75,3 +76,10 @@ def test_bench_pairs_summarise_counts_wins_by_each_metrics_direction():
     assert summary["ops_per_s"]["after_wins"] == 2
     assert summary["op_s.mean"]["before"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert summary["op_s.mean"]["after"] == pytest.approx({"median": 0.95, "q1": 0.8, "q3": 1.25})
+
+
+def test_bench_pairs_cpu_overlap_times_one_copy_then_two_together():
+    overlap = _bench_pairs().cpu_overlap(loops=1000)
+    assert set(overlap) == {"loops", "alone_s", "together_s"} and overlap["loops"] == 1000
+    times = [overlap["alone_s"], *overlap["together_s"]]
+    assert len(times) == 3 and all(0 < t < 5 for t in times)

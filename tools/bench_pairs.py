@@ -12,7 +12,11 @@ median and quartiles of each side and the number of pairs the after side
 won.  Each run's record keeps the ``# failed:`` lines perfbench prints,
 so a failing op can be found again.  With ``--out`` the workload's entry,
 with both git shas, is merged into that file, which also records the
-Python version and nproc.
+Python version, nproc and ``cpu_overlap``: before the pairs, one fixed
+CPU-bound loop is timed in one subprocess, then in two subprocesses started
+together.  Two CPUs that run at the same time give two times near the one;
+two that take turns give times near twice it, and a result that splits work
+over processes is read against that.
 """
 
 from __future__ import annotations
@@ -56,6 +60,23 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return {"correct": result["correct"], "failed": result["failed"], "errors": errors, **metrics}
 
 
+SPIN_LOOPS = 5_000_000
+SPIN = "import time\nt = time.perf_counter()\nfor i in range({loops}): pass\nprint(time.perf_counter() - t)"
+
+
+def spin_seconds(copies: int, loops: int) -> list[float]:
+    """Each copy's time for a loop of ``loops`` steps, with ``copies`` subprocesses started together."""
+    procs = [
+        subprocess.Popen([sys.executable, "-c", SPIN.format(loops=loops)], stdout=subprocess.PIPE, text=True)
+        for _ in range(copies)
+    ]
+    return [float(proc.communicate()[0]) for proc in procs]
+
+
+def cpu_overlap(loops: int = SPIN_LOOPS) -> dict:
+    return {"loops": loops, "alone_s": spin_seconds(1, loops)[0], "together_s": spin_seconds(2, loops)}
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -89,6 +110,8 @@ def main() -> int:
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
 
+    overlap = cpu_overlap()
+    print(json.dumps({"cpu_overlap": overlap}), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         trees, shas = {}, {}
         for side in ("before", "after"):
@@ -107,7 +130,9 @@ def main() -> int:
     print(json.dumps(entry["summary"], indent=1))
     if args.out is not None:
         data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data.update({"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0))})
+        data.update(
+            {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)), "cpu_overlap": overlap}
+        )
         data.setdefault("workloads", {})[args.workload] = entry
         args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
