@@ -341,7 +341,6 @@ def test_equal_values_hash_alike(p, c):
     assert len({0: "a", ZERO: "b"}) == 1
 
 
-
 @given(p=nonzero_polynomials)
 def test_sign_rule_reads_the_trailing_coefficient(p):
     assert poly._leads_negative(p) == (p.trailing()[1] < 0)
