@@ -2,9 +2,10 @@
 
 Each ``check_*`` function sweeps one identity over a parameter range and
 returns a :class:`VerificationReport`.  Comparisons are exact: ``compare``
-decides through ``RationalFunction.__eq__`` (cross-multiplication, zero
-tolerance), and a failing case records the two cross-product polynomials as
-its witness.  Failures become report entries, never exceptions, so a
+decides as ``RationalFunction.__eq__`` does, by the same ``_cross`` helper
+(cross-multiplication, zero tolerance), and a failing case records as its
+witness the two cross-product polynomials that decided it, each formed
+once.  Failures become report entries, never exceptions, so a
 corrupted formula is always visible rather than fatal: a zero divisor met
 while a case is built fails that case, with ``("DivisionByZero", message)``
 as its witness.
@@ -133,10 +134,16 @@ class VerificationReport(NamedTuple):
 
 
 def compare(lhs: RationalFunction, rhs: RationalFunction) -> tuple[bool, tuple[str, str] | None]:
-    """Equality through ``==``; on failure, the two cross products as witness."""
-    if lhs == rhs:
+    """Equality as ``==`` decides it; on failure, the two cross products it formed as witness."""
+    cross = lhs._cross(rhs)
+    if cross is None:
         return True, None
-    return False, (str(lhs.num * rhs.den), str(rhs.num * lhs.den))
+    left, right = cross
+    del cross
+    if left == right:
+        return True, None
+    left = str(left)  # each product is dropped once rendered
+    return False, (left, str(right))
 
 
 def _compare_built(build) -> tuple[bool, tuple[str, str] | None]:

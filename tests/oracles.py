@@ -16,6 +16,8 @@ continued fraction from the generic ``RationalFunction`` operators, and
 library builds no rational function on the way, only the polynomial
 continuant A_j = f_j A_(j+1) + l*q^(j+1) A_(j+2) whose ratios A_j/A_(j+1)
 are those tails, one ``poly._step`` per level.
+``rf_from_json`` reads back what ``RationalFunction.to_json`` writes, as a
+reader of rrcf's JSON output would; the library itself parses no JSON.
 """
 
 from __future__ import annotations
@@ -147,3 +149,9 @@ def cf_tails_by_operators(n: int) -> list[RationalFunction]:
     for j in range(n - 1, -1, -1):
         tails.append(cf_level_by_operators(j, tails[-1]))
     return tails
+
+
+def rf_from_json(data: dict) -> RationalFunction:
+    """The rational function whose ``to_json`` is data: decimal-string coefficients, int exponents."""
+    num, den = (Polynomial({(t["q"], t["l"], t["b"]): int(t["c"]) for t in data[side]}) for side in ("num", "den"))
+    return RationalFunction(num, den)

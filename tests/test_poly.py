@@ -6,11 +6,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
-from oracles import NotDivisible, eval_polynomial, exact_div
-from rrcf import poly
+from oracles import NotDivisible, eval_polynomial, exact_div, rf_from_json
+from rrcf import _kronecker, poly, verify
 from rrcf.core import g
 from rrcf.poly import (
     B,
@@ -136,6 +136,86 @@ def test_one_term_power_is_repeated_product(mono, c, n):
     for _ in range(n):
         prod = _mul_by_loop(prod, m)
     assert (m**n)._terms == prod._terms
+
+
+# -- products by Kronecker substitution ----------------------------------------
+
+# signed coefficients, small and above 2**64, on operands of up to 12 terms
+kronecker_operands = st.dictionaries(
+    monomials,
+    st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)).filter(bool),
+    min_size=1,
+    max_size=12,
+).map(Polynomial)
+
+
+def _kronecker_matches_loop(a, b):
+    # the Kronecker path called directly, whatever the size gate in __mul__ would say
+    box = _kronecker.product_box(a._terms, b._terms)
+    return _kronecker.product(a._terms, b._terms, box) == _mul_by_loop(a, b)._terms
+
+
+@given(a=kronecker_operands, b=kronecker_operands)
+@example(a=ONE - Q, b=ONE + Q)  # the middle terms cancel
+@example(a=ONE - B * Q**2, b=ONE + B * Q**2 + B**2 * Q**4)  # only the two ends survive
+@example(a=(Q - L) * (ONE + B), b=(Q + L) * (ONE - B))  # cancels at q*l*b and inside each row
+@example(a=Polynomial.constant(-(2**70)), b=3 * Q**5 * B - L**2)  # a constant operand
+@example(a=Polynomial.constant(7), b=Polynomial.constant(-(2**65)))  # two constants: a box of one slot
+@example(a=Q**6 * L**6 * B**6, b=-(Q**6) * L**6 * B**6)  # lowest exponents above 0
+@settings(max_examples=300)
+def test_kronecker_product_is_the_term_pair_loop(a, b):
+    assert _kronecker_matches_loop(a, b)
+
+
+def test_kronecker_property_fails_with_one_byte_per_slot_too_few(monkeypatch):
+    # a slot one byte narrower than the bound asks for overflows into its neighbour
+    # or does not take the coefficient: the property above must find that
+    slot_bytes = _kronecker.slot_bytes
+    monkeypatch.setattr(_kronecker, "slot_bytes", lambda bound: slot_bytes(bound) - 1)
+
+    def broken(ab):
+        try:
+            return not _kronecker_matches_loop(*ab)
+        except (OverflowError, ValueError):
+            return True
+
+    found = settings(database=None, phases=[Phase.generate])
+    a, b = find(st.tuples(kronecker_operands, kronecker_operands), broken, settings=found)
+    assert broken((a, b))
+
+
+@pytest.fixture
+def kronecker_calls(monkeypatch):
+    calls = []
+    product = _kronecker.product
+
+    def counted(a, b, box):
+        calls.append((len(a) * len(b), box[3] * box[4] * box[5]))
+        return product(a, b, box)
+
+    monkeypatch.setattr(_kronecker, "product", counted)
+    return calls
+
+
+def test_large_dense_products_take_the_kronecker_path(kronecker_calls):
+    # g_6(0)'s numerator squared: 13 924 term pairs in a box of 3 367 slots
+    num = g(6, 0).num
+    assert (num * num)._terms == _mul_by_loop(num, num)._terms
+    assert kronecker_calls == [(13924, 3367)]
+    # enough pairs in too large a box, and a small box with too few pairs, stay on the loop
+    spread = Polynomial({(5 * i, i % 3, i % 2): i - 20 for i in range(50)})
+    dense = Polynomial({(i, j, 0): 1 + i - j for i in range(11) for j in range(4)})
+    for a in (spread, dense):
+        assert (a * a)._terms == _mul_by_loop(a, a)._terms
+    assert len(spread) ** 2 >= _kronecker.MIN_PAIRS > len(dense) ** 2
+    assert kronecker_calls == [(13924, 3367)]
+
+
+def test_verify_all_products_stay_on_the_loop(kronecker_calls):
+    # every product the benchmarked verify op forms is below the gate
+    for seed in (0, 1):
+        assert all(r.all_passed for r in verify.run_all(10, seed))
+    assert kronecker_calls == []
 
 
 def test_pow_zero_is_one_even_for_zero():
@@ -366,24 +446,6 @@ def test_polynomial_over_one_is_normal_as_it_stands(p, j, c):
     assert (value._rnum, value._rden, value._exps) == (Polynomial.constant(c), ONE, {j: 1} if c else {})
 
 
-def test_from_terms_json_rejects_fractional_exponent():
-    with pytest.raises(ValueError):
-        Polynomial.from_terms_json([{"c": "3", "q": 1.9, "l": 0, "b": 2}])
-
-
-def test_rf_from_json_rejects_fractional_exponent():
-    data = RationalFunction(Q**2, ONE + B).to_json()
-    data["num"][0]["q"] = 2.5
-    with pytest.raises(ValueError):
-        RationalFunction.from_json(data)
-
-
-def test_from_terms_json_rejects_rational_coefficient():
-    for c in ("1/2", 1.5):
-        with pytest.raises(ValueError):
-            Polynomial.from_terms_json([{"c": c, "q": 1, "l": 0, "b": 0}])
-
-
 def test_fraction_operands_are_rejected():
     # a rational constant is a quotient of ints, never a Fraction
     half = Fraction(1, 2)
@@ -452,6 +514,27 @@ def test_rf_equal_common_factor():
 
 def test_rf_not_equal():
     assert RationalFunction(ONE, ONE + B) != RationalFunction(ONE, ONE + B * Q)
+
+
+def test_rf_equality_multiplies_only_when_num_or_den_differ(monkeypatch):
+    named = RationalFunction(ONE + B * Q) * RationalFunction(L, ONE - Q)  # names f_1: residual l
+    plain = RationalFunction(L + L * B * Q, ONE - Q)  # holds f_1 in its residual
+    unreduced = RationalFunction(L * Q + L * B * Q**2, Q - Q**2)
+    assert named._exps != plain._exps
+    products = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    # equal internal forms, then equal expanded num and den: no cross product
+    assert named == named and named == plain and plain == named
+    assert products == []
+    # num and den differ: one pair of cross products decides
+    assert named == unreduced
+    assert len(products) == 2
 
 
 def test_comparison_with_bool_is_false():
@@ -606,5 +689,5 @@ def test_json_terms_sorted_with_string_coefficients():
 @settings(max_examples=60)
 def test_json_round_trip(num, den):
     rf = RationalFunction(num, den)
-    back = RationalFunction.from_json(rf.to_json())
+    back = rf_from_json(rf.to_json())
     assert back.num == rf.num and back.den == rf.den

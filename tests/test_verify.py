@@ -8,7 +8,7 @@ import pytest
 
 from rrcf import cli, core, verify
 from rrcf.core import ConvergentPair, asi_u, g, g_difference, mu, nu
-from rrcf.poly import B, L, ONE, Q, ZERO, RationalFunction
+from rrcf.poly import B, L, ONE, Q, ZERO, Polynomial, RationalFunction
 from rrcf.verify import (
     InvalidRange,
     VerificationReport,
@@ -284,3 +284,39 @@ def test_failed_case_witness_holds_cross_products(monkeypatch):
     lhs, rhs = report.cases[0].witness
     # witness strings are canonical polynomials: (mu+l)*den_rhs vs num_rhs*nu
     assert "l" in lhs and lhs != rhs
+
+
+# sha256 of lhs + rhs of compare(frac, frac + 1)'s witness for the backward
+# fraction of every depth n = 1..10, as the term-pair loop renders it
+FRACTION_PLUS_ONE_WITNESS_DIGEST = "5090118a8c01de42b63733b3c37a571c8df8b941c8d3213181389c21f8e1dcdb"
+
+
+def _fraction_and_plus_one(n):
+    frac = core.cf_finite_backward(core.CFSpec.standard(n))
+    return frac, frac + 1
+
+
+def test_failing_compare_witness_is_pinned():
+    # the cross products of depths 5 to 10 take the Kronecker path; the witness keeps its bytes
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        ok, (lhs, rhs) = verify.compare(*_fraction_and_plus_one(n))
+        assert not ok
+        digest.update((lhs + rhs).encode())
+    assert digest.hexdigest() == FRACTION_PLUS_ONE_WITNESS_DIGEST
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_failing_compare_forms_each_cross_product_once(monkeypatch, n):
+    frac, plus_one = _fraction_and_plus_one(n)
+    products = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        products.append(mul(a, b))
+        return products[-1]
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    ok, witness = verify.compare(frac, plus_one)
+    assert not ok and len(products) == 2
+    assert witness == (str(products[0]), str(products[1]))
