@@ -17,19 +17,14 @@ CPython int multiply (Kronecker 1882; Harvey, arXiv:0712.4046):
   lifts each into [0, 2**W) so that no slot borrows from the next, and the
   slots are read back by byte slicing.
 
-``rrcf.poly`` decides which products take this path; MIN_PAIRS and
-PAIRS_PER_SLOT are its gate, and its module docstring gives the
-measurements behind them.
+``Polynomial.__mul__`` in :mod:`rrcf.poly` decides which products take
+this path, and the ``poly`` module docstring gives the measurements behind
+that gate.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
-
-# A product takes the Kronecker path when it has at least MIN_PAIRS term
-# pairs and at least PAIRS_PER_SLOT of them per slot of its box.
-MIN_PAIRS = 2048
-PAIRS_PER_SLOT = 2
 
 
 def product_box(a: Mapping[tuple, int], b: Mapping[tuple, int]) -> tuple[int, ...]:

@@ -74,9 +74,9 @@ the residuals alone give the value.
 
 A product of two polynomials takes one of three paths.  A product with 1
 is the other operand, and a one-term factor shifts every key.  A product
-of at least ``_kronecker.MIN_PAIRS`` = 2048 term pairs whose box, the
+of at least ``_KRONECKER_MIN_PAIRS`` = 2048 term pairs whose box, the
 dq * dl * db monomials its degree ranges span, has at most one slot per
-``_kronecker.PAIRS_PER_SLOT`` = 2 term pairs is formed by Kronecker
+``_KRONECKER_PAIRS_PER_SLOT`` = 2 term pairs is formed by Kronecker
 substitution in :mod:`rrcf._kronecker`: one int per operand, a slot per
 monomial of the box, one int multiply.  A slot is W bits wide: the bit
 length of ``min(len_a, len_b) * max|a| * max|b|``, which bounds every
@@ -134,6 +134,10 @@ class Monomial(NamedTuple):
 
 
 _UNIT_MONO = Monomial(0, 0, 0)
+
+# The gate of the Kronecker path, measured as the module docstring says.
+_KRONECKER_MIN_PAIRS = 2048
+_KRONECKER_PAIRS_PER_SLOT = 2
 
 _VAR_INDEX = {"q": 0, "l": 1, "b": 2}
 
@@ -299,10 +303,11 @@ class Polynomial:
             # a one-term factor shifts every key: no two collide, no product is 0
             ((sq, sl, sb), cb), = bt.items()
             return Polynomial._raw({(aq + sq, al + sl, ab + sb): ca * cb for (aq, al, ab), ca in a.items()})
+        # a large product whose box is dense enough: one int multiply
         pairs = len(a) * len(bt)
-        if pairs >= _kronecker.MIN_PAIRS:
+        if pairs >= _KRONECKER_MIN_PAIRS:
             box = _kronecker.product_box(a, bt)
-            if box[3] * box[4] * box[5] * _kronecker.PAIRS_PER_SLOT <= pairs:
+            if box[3] * box[4] * box[5] * _KRONECKER_PAIRS_PER_SLOT <= pairs:
                 return Polynomial._raw(_kronecker.product(a, bt, box))
         out: dict[tuple, int] = {}
         get = out.get

@@ -207,7 +207,7 @@ def test_large_dense_products_take_the_kronecker_path(kronecker_calls):
     dense = Polynomial({(i, j, 0): 1 + i - j for i in range(11) for j in range(4)})
     for a in (spread, dense):
         assert (a * a)._terms == _mul_by_loop(a, a)._terms
-    assert len(spread) ** 2 >= _kronecker.MIN_PAIRS > len(dense) ** 2
+    assert len(spread) ** 2 >= poly._KRONECKER_MIN_PAIRS > len(dense) ** 2
     assert kronecker_calls == [(13924, 3367)]
 
 
